@@ -1753,8 +1753,9 @@ fn bench_obs() {
 }
 
 /// Group 12 — server front-end load generation. Open `sessions`
-/// concurrent authenticated TCP connections (thread-per-connection on
-/// the server side, `drivers` client threads each owning a slice), then
+/// concurrent authenticated TCP connections (one live handler thread
+/// per connection on the server side, `drivers` client threads each
+/// owning a slice), then
 /// push `rounds` read frames down every connection, timing each request
 /// end-to-end: frame write, server dispatch through the batch pool,
 /// reply frame read. Latency quantiles are exact (sorted samples, one
@@ -1853,6 +1854,9 @@ fn bench_server() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     let wall = t0.elapsed().as_secs_f64();
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
 
     let mut all: Vec<u64> = samples.into_iter().flatten().collect();
     all.sort_unstable();
@@ -1890,13 +1894,14 @@ fn bench_server() {
                 "  \"workload\": \"{s} concurrent authenticated TCP sessions across {t} tenants, {r} read frames each through the framed protocol onto a 4-shard kernel + 4-worker batch pool; latency is per-request end-to-end (client write to client read), quantiles exact-sorted\",\n",
                 "  \"sessions\": {s},\n",
                 "  \"drivers\": {d},\n",
+                "  \"cores\": {cores},\n",
                 "  \"requests\": {n},\n",
                 "  \"open_seconds\": {:.2},\n",
                 "  \"throughput_rps\": {:.0},\n",
                 "  \"p50_ns\": {},\n",
                 "  \"p99_ns\": {},\n",
                 "  \"mean_ns\": {:.0},\n",
-                "  \"note\": \"thread-per-connection server on loopback; on a single-core CI box the quantiles measure the multiplexing queue, not the kernel crossing\"\n",
+                "  \"note\": \"server on loopback with blocking accept and reused handler threads (one per live connection); with fewer cores than driver threads the quantiles measure the multiplexing queue, not the kernel crossing\"\n",
                 "}}\n"
             ),
             open_s,
@@ -1909,6 +1914,7 @@ fn bench_server() {
             r = rounds,
             d = drivers,
             n = total,
+            cores = cores,
         );
         std::fs::write(&path, json).expect("write server baseline");
         println!("   baseline written to {path}");

@@ -19,9 +19,10 @@
 //!   admission control, per-tenant backpressure, the charge-meter quota
 //!   (PR 2's ulimit machinery), frame dispatch onto the batch pool, and
 //!   graceful drain. Also the per-tenant telemetry counters.
-//! * [`net`] — the socket front-end ([`net::Server`]): accept loops,
-//!   per-connection handlers, and a small blocking [`net::Client`] used
-//!   by the tests, the load-generator bench, and the CI smoke.
+//! * [`net`] — the socket front-end ([`net::Server`]): blocking accept
+//!   loops, reused handler threads, and a small blocking
+//!   [`net::Client`] used by the tests, the load-generator bench, and
+//!   the CI smoke.
 //!
 //! Observability and fault injection are wired from day one: accepts,
 //! auth attempts, and dispatches are trace sites

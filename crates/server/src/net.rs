@@ -1,24 +1,31 @@
-//! Socket front-end: accept loops, per-connection handlers, and a small
+//! Socket front-end: accept loops, reused handler threads, and a small
 //! blocking [`Client`].
 //!
 //! [`Server::start`] binds a loopback TCP listener (and optionally a Unix
-//! socket) and serves frames until [`Server::shutdown`]. Each accepted
-//! connection is an `accept` trace instant and gets its own handler
-//! thread; the handler speaks the [`crate::proto`] grammar, owns at most
-//! one session, and always closes that session on the way out — a client
-//! that vanishes mid-stream leaks nothing.
+//! socket) and serves frames until [`Server::shutdown`]. Each listener has
+//! an accepter thread blocked in `accept`, so a connection is picked up
+//! the moment it arrives. Each accepted connection is an `accept` trace
+//! instant and goes to a handler thread: an idle one if any is waiting,
+//! otherwise a new one. A handler speaks the [`crate::proto`] grammar,
+//! owns at most one session per connection, and always closes that
+//! session before it takes the next connection — a client that vanishes
+//! mid-stream leaks nothing. Handlers are kept for reuse, so their number
+//! follows the peak count of concurrent connections, not the total.
 //!
 //! Handlers read with a short timeout so an idle connection never wedges
 //! shutdown: a timeout at a frame boundary just polls the stop flag,
 //! while a timeout *mid-frame* keeps waiting for the rest of the frame
 //! (slow writers are fine; only a stopped server gives up on them).
+//! Shutdown wakes each blocked accepter by connecting to its listener
+//! once.
 
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -28,15 +35,18 @@ use crate::core::{ServerCore, SessionHandle};
 use crate::proto::{err_payload, ok_payload, read_frame, write_frame, FrameError, Request};
 
 const READ_TICK: Duration = Duration::from_millis(25);
-const ACCEPT_TICK: Duration = Duration::from_millis(2);
+/// Pause after an `accept` error other than an interrupt or an aborted
+/// connection (see [`spawn_accepter`]).
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
-/// A running server: accept threads plus one handler thread per live
-/// connection.
+/// A running server: one accepter thread per listener plus a set of
+/// handler threads, each serving one connection at a time and reused
+/// across connections.
 pub struct Server {
     core: Arc<ServerCore>,
     stop: Arc<AtomicBool>,
     accepters: Vec<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    handoff: Arc<Handoff>,
     tcp_addr: SocketAddr,
     unix_path: Option<PathBuf>,
 }
@@ -55,20 +65,23 @@ impl Server {
     fn start_inner(core: ServerCore, unix_path: Option<PathBuf>) -> std::io::Result<Server> {
         let core = Arc::new(core);
         let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let handoff = Arc::new(Handoff::default());
         let mut accepters = Vec::new();
 
         let tcp = TcpListener::bind("127.0.0.1:0")?;
         let tcp_addr = tcp.local_addr()?;
-        tcp.set_nonblocking(true)?;
         accepters.push(spawn_accepter(
             Arc::clone(&core),
             Arc::clone(&stop),
-            Arc::clone(&conns),
-            move || match tcp.accept() {
-                Ok((s, _)) => Accepted::Tcp(s),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Accepted::Idle,
-                Err(_) => Accepted::Idle,
+            Arc::clone(&handoff),
+            move || {
+                let (s, _) = tcp.accept()?;
+                let _ = s.set_read_timeout(Some(READ_TICK));
+                // A frame is two small writes (prefix, payload): without
+                // NODELAY, Nagle holds the second until the peer's
+                // delayed ACK — tens of ms per request.
+                let _ = s.set_nodelay(true);
+                Ok((Box::new(s) as Box<dyn Stream>, "tcp"))
             },
         ));
 
@@ -76,15 +89,14 @@ impl Server {
             // A stale socket file from a previous run refuses the bind.
             let _ = std::fs::remove_file(path);
             let unix = UnixListener::bind(path)?;
-            unix.set_nonblocking(true)?;
             accepters.push(spawn_accepter(
                 Arc::clone(&core),
                 Arc::clone(&stop),
-                Arc::clone(&conns),
-                move || match unix.accept() {
-                    Ok((s, _)) => Accepted::Unix(s),
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Accepted::Idle,
-                    Err(_) => Accepted::Idle,
+                Arc::clone(&handoff),
+                move || {
+                    let (s, _) = unix.accept()?;
+                    let _ = s.set_read_timeout(Some(READ_TICK));
+                    Ok((Box::new(s) as Box<dyn Stream>, "unix"))
                 },
             ));
         }
@@ -93,7 +105,7 @@ impl Server {
             core,
             stop,
             accepters,
-            conns,
+            handoff,
             tcp_addr,
             unix_path,
         })
@@ -109,6 +121,13 @@ impl Server {
         Arc::clone(&self.core)
     }
 
+    /// How many handler threads this server has started so far. Handlers
+    /// are reused, so this is bounded by the peak number of concurrent
+    /// connections, not by the total.
+    pub fn handler_threads(&self) -> usize {
+        self.handoff.lock().handlers.len()
+    }
+
     /// Graceful drain: refuse new frames and sessions, wait for every
     /// in-flight frame to complete and be delivered. Connections stay up
     /// (their next frame gets `err ECANCELED`).
@@ -116,15 +135,24 @@ impl Server {
         self.core.drain();
     }
 
-    /// Stop accepting, wake every handler, and join all threads. Open
-    /// sessions are closed by their handlers on the way out.
+    /// Stop accepting, wake every accepter and handler, and join all
+    /// threads. Open sessions are closed by their handlers on the way out.
     pub fn shutdown(self) {
         self.stop.store(true, Ordering::SeqCst);
+        // Each accepter is blocked in `accept`: one connection to its own
+        // listener wakes it, and it sees `stop`. The waking connections
+        // stay open until the accepters are joined.
+        let _tcp_wake = TcpStream::connect(self.tcp_addr);
+        let _unix_wake = self.unix_path.as_deref().map(UnixStream::connect);
         for h in self.accepters {
             let _ = h.join();
         }
-        let conns = std::mem::take(&mut *self.conns.lock().unwrap());
-        for h in conns {
+        let handlers = {
+            let mut state = self.handoff.lock();
+            self.handoff.ready.notify_all();
+            std::mem::take(&mut state.handlers)
+        };
+        for h in handlers {
             let _ = h.join();
         }
         if let Some(path) = &self.unix_path {
@@ -133,48 +161,118 @@ impl Server {
     }
 }
 
-enum Accepted {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-    Idle,
+/// Hands accepted streams from the accepters to handler threads.
+#[derive(Default)]
+struct Handoff {
+    state: Mutex<HandoffState>,
+    /// Signalled when a stream is queued for an idle handler, and on
+    /// shutdown.
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct HandoffState {
+    /// Accepted streams, each promised to an idle handler.
+    queue: VecDeque<Box<dyn Stream>>,
+    /// Handlers between connections, waiting on `ready`.
+    idle: usize,
+    /// Every handler started; joined at shutdown.
+    handlers: Vec<JoinHandle<()>>,
+}
+
+const POISONED: &str = "no code panics while holding the hand-off lock";
+
+impl Handoff {
+    fn lock(&self) -> std::sync::MutexGuard<'_, HandoffState> {
+        self.state.lock().expect(POISONED)
+    }
+
+    /// Give `stream` to an idle handler not yet promised a stream, or
+    /// start a new handler with it.
+    fn give(
+        self: &Arc<Self>,
+        stream: Box<dyn Stream>,
+        core: &Arc<ServerCore>,
+        stop: &Arc<AtomicBool>,
+    ) {
+        let mut state = self.lock();
+        if state.idle > state.queue.len() {
+            state.queue.push_back(stream);
+            self.ready.notify_one();
+            return;
+        }
+        let (handoff, core, stop) = (Arc::clone(self), Arc::clone(core), Arc::clone(stop));
+        let spawned = thread::Builder::new().spawn(move || {
+            let mut next = Some(stream);
+            while let Some(mut stream) = next {
+                handle_conn(&core, &mut *stream, &stop);
+                next = handoff.take(stream, &stop);
+            }
+        });
+        // If the OS refuses a thread, the stream is dropped with the
+        // closure: that client sees a hang-up and the server carries on.
+        if let Ok(h) = spawned {
+            state.handlers.push(h);
+        }
+    }
+
+    /// Hang up `finished`, then wait idle for the next stream; `None`
+    /// once the server stops.
+    fn take(&self, finished: Box<dyn Stream>, stop: &AtomicBool) -> Option<Box<dyn Stream>> {
+        let mut state = self.lock();
+        state.idle += 1;
+        // Close only once counted idle: a client that waits for the
+        // hang-up before reconnecting always finds this handler free.
+        drop(finished);
+        let next = loop {
+            if stop.load(Ordering::SeqCst) {
+                break None;
+            }
+            if let Some(stream) = state.queue.pop_front() {
+                break Some(stream);
+            }
+            state = self.ready.wait(state).expect(POISONED);
+        };
+        state.idle -= 1;
+        next
+    }
 }
 
 fn spawn_accepter(
     core: Arc<ServerCore>,
     stop: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    mut accept: impl FnMut() -> Accepted + Send + 'static,
+    handoff: Arc<Handoff>,
+    mut accept: impl FnMut() -> std::io::Result<(Box<dyn Stream>, &'static str)> + Send + 'static,
 ) -> JoinHandle<()> {
-    thread::spawn(move || {
-        while !stop.load(Ordering::SeqCst) {
-            let (stream, tag): (Box<dyn Stream>, &'static str) = match accept() {
-                Accepted::Tcp(s) => {
-                    let _ = s.set_read_timeout(Some(READ_TICK));
-                    // A frame is two small writes (prefix, payload):
-                    // without NODELAY, Nagle holds the second until the
-                    // peer's delayed ACK — tens of ms per request.
-                    let _ = s.set_nodelay(true);
-                    (Box::new(s), "tcp")
-                }
-                Accepted::Unix(s) => {
-                    let _ = s.set_read_timeout(Some(READ_TICK));
-                    (Box::new(s), "unix")
-                }
-                Accepted::Idle => {
-                    thread::park_timeout(ACCEPT_TICK);
-                    continue;
-                }
-            };
-            if let Some(plane) = core.trace() {
-                plane.instant(TraceSite::Accept, 0, 0, tag);
-            }
-            let core = Arc::clone(&core);
-            let stop = Arc::clone(&stop);
-            conns
-                .lock()
-                .unwrap()
-                .push(thread::spawn(move || handle_conn(&core, stream, &stop)));
+    thread::spawn(move || loop {
+        let accepted = accept();
+        // Shutdown wakes this thread with a connection of its own, which
+        // is dropped here (as is any client that raced it).
+        if stop.load(Ordering::SeqCst) {
+            return;
         }
+        let (stream, tag) = match accepted {
+            Ok(a) => a,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::Interrupted | std::io::ErrorKind::ConnectionAborted
+                ) =>
+            {
+                continue
+            }
+            // Anything else (EMFILE, ENFILE, ENOBUFS, ...) tends to
+            // persist and would fail again at once, spinning a core:
+            // pause before retrying. Only this error path sleeps.
+            Err(_) => {
+                thread::sleep(ACCEPT_ERROR_BACKOFF);
+                continue;
+            }
+        };
+        if let Some(plane) = core.trace() {
+            plane.instant(TraceSite::Accept, 0, 0, tag);
+        }
+        handoff.give(stream, &core, &stop);
     })
 }
 
@@ -245,7 +343,7 @@ fn read_frame_ticking(
     Ok(Some(payload))
 }
 
-fn handle_conn(core: &ServerCore, mut stream: Box<dyn Stream>, stop: &AtomicBool) {
+fn handle_conn(core: &ServerCore, mut stream: &mut dyn Stream, stop: &AtomicBool) {
     let max = core.max_frame();
     let mut session: Option<SessionHandle> = None;
     loop {
@@ -408,5 +506,41 @@ mod tests {
         server.shutdown();
         assert_eq!(core.tenant_counters("bob").unwrap().open_sessions, 0);
         assert_eq!(core.policy().label_entries(), 0);
+    }
+
+    /// Wait (bounded) until `n` handlers sit idle in the hand-off.
+    fn idle_handlers(server: &Server, n: usize) -> bool {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while std::time::Instant::now() < deadline {
+            if server.handoff.lock().idle == n {
+                return true;
+            }
+            thread::sleep(Duration::from_millis(1));
+        }
+        false
+    }
+
+    #[test]
+    fn vanished_client_on_a_reused_handler_leaks_no_session() {
+        let server = serve();
+        let core = server.core();
+        let mut c = Client::connect_tcp(server.tcp_addr()).unwrap();
+        assert!(c.auth("alice", "sesame").unwrap().starts_with("ok "));
+        assert_eq!(c.req("bye").unwrap(), "ok bye");
+        drop(c);
+        assert!(idle_handlers(&server, 1), "the handler must go idle");
+
+        // The next connection lands on the same handler, which must close
+        // this session too when the client hangs up without `bye`.
+        let mut c = Client::connect_tcp(server.tcp_addr()).unwrap();
+        assert!(c.auth("bob", "hunter2").unwrap().starts_with("ok "));
+        assert_eq!(c.req("write /srv/bob/x.txt hi").unwrap(), "ok 2");
+        assert_eq!(server.handler_threads(), 1, "the handler must be reused");
+        drop(c);
+        assert!(idle_handlers(&server, 1), "the handler must go idle again");
+        assert_eq!(core.tenant_counters("bob").unwrap().open_sessions, 0);
+        assert_eq!(core.policy().label_entries(), 0);
+        assert_eq!(server.handler_threads(), 1);
+        server.shutdown();
     }
 }

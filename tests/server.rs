@@ -7,10 +7,12 @@
 //! error rather than a kill; graceful drain answers every in-flight
 //! frame and refuses the rest with `ECANCELED`; and tenant isolation is
 //! enforced by the MAC policy (`EACCES`), not by string comparison in
-//! the front-end.
+//! the front-end. The socket edge shuts down promptly with no client
+//! ever connected and reuses its handler threads across sessions.
 
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use shill::kernel::Ulimits;
@@ -45,6 +47,114 @@ fn eventually(mut probe: impl FnMut() -> bool) -> bool {
         std::thread::sleep(Duration::from_millis(10));
     }
     false
+}
+
+/// Run `f` on its own thread and fail (rather than hang) if it has not
+/// finished within `limit`.
+fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(limit)
+        .unwrap_or_else(|e| panic!("not finished within {limit:?}: {e}"))
+}
+
+#[test]
+fn shutdown_is_prompt_when_no_client_ever_connected() {
+    let server = two_tenant_server();
+    within(Duration::from_secs(1), move || server.shutdown());
+
+    let path = std::env::temp_dir().join(format!(
+        "shill-server-idle-shutdown-{}.sock",
+        std::process::id()
+    ));
+    let core = ServerCore::new(
+        config(vec![TenantSpec::new("alice")]),
+        Box::new(StaticTokens::new([("alice", "sesame")])),
+    );
+    let server = Server::start_with_unix(core, &path).unwrap();
+    within(Duration::from_secs(1), move || server.shutdown());
+    assert!(!path.exists(), "socket file must be removed on shutdown");
+}
+
+#[test]
+fn sequential_sessions_reuse_handler_threads() {
+    let server = two_tenant_server();
+    let core = server.core();
+    let addr = server.tcp_addr();
+    let server = within(Duration::from_secs(60), move || {
+        for i in 0..200 {
+            let mut s = TcpStream::connect(addr).unwrap();
+            // A frame is two writes: without NODELAY each request waits
+            // out the peer's delayed ACK.
+            s.set_nodelay(true).unwrap();
+            let mut req = |line: &str| {
+                write_frame(&mut s, line.as_bytes()).unwrap();
+                String::from_utf8(read_frame(&mut s, 64 * 1024).unwrap()).unwrap()
+            };
+            assert!(req("auth alice sesame").starts_with("ok "));
+            assert_eq!(req(&format!("write /srv/alice/s{i}.txt hi")), "ok 2");
+            assert_eq!(req("bye"), "ok bye");
+            // The server hangs up once the handler is free again, so the
+            // next session finds it idle whatever the scheduling.
+            assert!(read_frame(&mut s, 64 * 1024).is_err());
+        }
+        server
+    });
+    assert_eq!(
+        server.handler_threads(),
+        1,
+        "200 sequential sessions must share one handler thread"
+    );
+    server.shutdown();
+    let counters = core.tenant_counters("alice").unwrap();
+    assert_eq!((counters.sessions_opened, counters.open_sessions), (200, 0));
+}
+
+#[test]
+fn concurrent_clients_are_all_served_and_leak_nothing() {
+    const CLIENTS: usize = 32;
+    let server = two_tenant_server();
+    let core = server.core();
+    let addr = server.tcp_addr();
+    // Every client holds its session open until all have authenticated,
+    // so the server really has 32 live connections at once.
+    let all_in = Arc::new(Barrier::new(CLIENTS));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|i| {
+            let all_in = Arc::clone(&all_in);
+            std::thread::spawn(move || {
+                let (tenant, secret) = if i % 2 == 0 {
+                    ("alice", "sesame")
+                } else {
+                    ("bob", "hunter2")
+                };
+                let mut c = Client::connect_tcp(addr).unwrap();
+                assert!(c.auth(tenant, secret).unwrap().starts_with("ok "));
+                all_in.wait();
+                let path = format!("/srv/{tenant}/c{i}.txt");
+                assert_eq!(c.req(&format!("write {path} hello")).unwrap(), "ok 5");
+                assert_eq!(c.req(&format!("read {path}")).unwrap(), "ok hello");
+                assert_eq!(c.req("bye").unwrap(), "ok bye");
+            })
+        })
+        .collect();
+    within(Duration::from_secs(60), move || {
+        for c in clients {
+            c.join().unwrap();
+        }
+    });
+    // One handler per live connection: never fewer (a queued connection
+    // would stall the barrier), never more.
+    assert_eq!(server.handler_threads(), CLIENTS);
+    server.shutdown();
+    for tenant in ["alice", "bob"] {
+        let counters = core.tenant_counters(tenant).unwrap();
+        assert_eq!(counters.sessions_opened, CLIENTS as u64 / 2, "{tenant}");
+        assert_eq!(counters.open_sessions, 0, "{tenant}");
+    }
+    assert_eq!(core.policy().label_entries(), 0, "no label residue");
 }
 
 #[test]
