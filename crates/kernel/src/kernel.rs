@@ -546,24 +546,13 @@ impl Kernel {
         Ok(pid)
     }
 
-    /// Fork: the child inherits credentials, cwd, ulimits, and descriptors
-    /// (with reference counts bumped). MAC policies are notified so session
-    /// membership is inherited (paper §3.2.1: "Processes spawned by a
-    /// process in a session are by default placed in the same session").
+    /// Fork: a [`Kernel::spawn`] child that also inherits the parent's
+    /// descriptors (with reference counts bumped) — POSIX inheritance, which
+    /// binaries that fork their own helpers (`find -exec`, `gmake` → `cc`)
+    /// rely on.
     pub fn fork(&mut self, parent: Pid) -> SysResult<Pid> {
-        self.charge(parent)?;
-        KernelStats::bump(&self.stats.forks);
-        let (cred, cwd, ulimits, fds) = {
-            let p = self.process(parent)?;
-            let live = p.children.len() as u32;
-            if live >= p.ulimits.max_processes {
-                return Err(Errno::EAGAIN);
-            }
-            (p.cred, p.cwd, p.ulimits, p.fds.clone())
-        };
-        let pid = self.alloc_pid()?;
-        let mut child = Process::new(pid, parent, cred, cwd);
-        child.ulimits = ulimits;
+        let pid = self.spawn(parent)?;
+        let fds = self.process(parent)?.fds.clone();
         for (fd, of) in fds {
             match of.object {
                 FdObject::Vnode(n) => self.fs.incref(n),
@@ -572,8 +561,35 @@ impl Kernel {
                 }
                 FdObject::Socket(_) => {}
             }
-            child.install_fd(fd, of);
+            self.process_mut(pid)?.install_fd(fd, of);
         }
+        Ok(pid)
+    }
+
+    /// Spawn: a child that inherits credentials, cwd, and ulimits but
+    /// starts with an empty descriptor table, as if every descriptor of the
+    /// parent were close-on-exec (`posix_spawn`). This is the
+    /// process-creation path [`Kernel::fork`] shares: charge, process
+    /// limit, pid, and the `proc_fork` notification by which MAC policies
+    /// carry session membership over (paper §3.2.1: "Processes spawned by
+    /// a process in a session are by default placed in the same session").
+    /// The caller wires whatever the child should hold with
+    /// [`Kernel::transfer_fd`]; the sandbox launch uses this so a sandbox
+    /// holds only its stdio, not a copy of every descriptor of its parent.
+    pub fn spawn(&mut self, parent: Pid) -> SysResult<Pid> {
+        self.charge(parent)?;
+        KernelStats::bump(&self.stats.forks);
+        let (cred, cwd, ulimits) = {
+            let p = self.process(parent)?;
+            let live = p.children.len() as u32;
+            if live >= p.ulimits.max_processes {
+                return Err(Errno::EAGAIN);
+            }
+            (p.cred, p.cwd, p.ulimits)
+        };
+        let pid = self.alloc_pid()?;
+        let mut child = Process::new(pid, parent, cred, cwd);
+        child.ulimits = ulimits;
         self.procs.insert(pid, child);
         self.process_mut(parent)?.children.push(pid);
         for p in self.registry.iter() {
@@ -1302,14 +1318,23 @@ impl Kernel {
     }
 
     /// Duplicate an open descriptor from one process into another at a fixed
-    /// descriptor number (stdio wiring for sandboxed children). Reference
-    /// counts are bumped like `dup2` across a fork would.
+    /// descriptor number (stdio wiring for sandboxed children), with `dup2`
+    /// semantics: the reference count of the source's object is bumped, and
+    /// a descriptor already open at `dst_fd` is closed first, so the object
+    /// it referred to is released rather than leaked.
     pub fn transfer_fd(&mut self, src: Pid, src_fd: Fd, dst: Pid, dst_fd: Fd) -> SysResult<()> {
         let of = self.process(src)?.file(src_fd)?.clone();
+        if src == dst && src_fd == dst_fd {
+            return Ok(());
+        }
+        let occupied = self.process(dst)?.fds.contains_key(&dst_fd);
         match of.object {
             FdObject::Vnode(n) => self.fs.incref(n),
             FdObject::Pipe(id, end) => self.pipes.addref(id, end == PipeEnd::Write)?,
             FdObject::Socket(_) => {}
+        }
+        if occupied {
+            self.close(dst, dst_fd)?;
         }
         self.process_mut(dst)?.install_fd(dst_fd, of);
         Ok(())

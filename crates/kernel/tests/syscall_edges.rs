@@ -202,6 +202,54 @@ fn stdio_transfer_survives_exec_roundtrip() {
 }
 
 #[test]
+fn transfer_fd_onto_an_open_descriptor_releases_it() {
+    // `dup2` semantics: the descriptor displaced at the target number is
+    // closed, so its pipe write end does not outlive every real writer.
+    let (mut k, pid) = setup();
+    k.fs.put_file("/tmp/log", b"", Mode(0o644), Uid::ROOT, Gid::WHEEL)
+        .unwrap();
+    let (r, w) = k.pipe(pid).unwrap();
+    k.transfer_fd(pid, w, pid, Fd::STDOUT).unwrap();
+    let child = k.fork(pid).unwrap();
+    let log = k
+        .open(pid, "/tmp/log", OpenFlags::wronly(), Mode(0))
+        .unwrap();
+    k.transfer_fd(pid, log, child, Fd::STDOUT).unwrap();
+    k.exit(child, 0);
+    k.waitpid(pid, child).unwrap();
+    k.close(pid, w).unwrap();
+    k.close(pid, Fd::STDOUT).unwrap();
+    assert_eq!(k.read(pid, r, 100).unwrap(), b"", "every write end closed");
+    // Transferring a descriptor onto itself is a no-op, as for `dup2`.
+    k.transfer_fd(pid, log, pid, log).unwrap();
+    assert!(k.fd_object(pid, log).is_ok());
+}
+
+#[test]
+fn spawn_starts_with_no_descriptors_and_fork_inherits_them() {
+    let (mut k, pid) = setup();
+    let (r, w) = k.pipe(pid).unwrap();
+    let forks = k.stats.snapshot().forks;
+    let forked = k.fork(pid).unwrap();
+    let spawned = k.spawn(pid).unwrap();
+    assert_eq!(k.stats.snapshot().forks, forks + 2);
+    let fds = |k: &Kernel, p: Pid| {
+        let mut v: Vec<Fd> = k.process(p).unwrap().fds.keys().copied().collect();
+        v.sort_by_key(|fd| fd.0);
+        v
+    };
+    assert_eq!(fds(&k, forked), vec![r, w]);
+    assert!(fds(&k, spawned).is_empty());
+    assert_eq!(k.read(spawned, r, 1).unwrap_err(), Errno::EBADF);
+    // Both are children of `pid`, with its credentials and cwd.
+    for c in [forked, spawned] {
+        let p = k.process(c).unwrap();
+        assert_eq!((p.ppid, p.cred, p.cwd), (pid, Cred::ROOT, k.fs.root()));
+    }
+    assert_eq!(k.process(pid).unwrap().children, vec![forked, spawned]);
+}
+
+#[test]
 fn stats_count_mac_checks_only_with_policy() {
     let (mut k, pid) = setup();
     k.fs.put_file("/tmp/f", b"x", Mode(0o644), Uid::ROOT, Gid::WHEEL)

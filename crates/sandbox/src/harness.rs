@@ -3,6 +3,14 @@
 //! forking a new process, creating a new session, and granting the session
 //! the capabilities passed to exec. It then calls `shill_enter` before
 //! transferring control to the executable."
+//!
+//! The child is created with [`Kernel::spawn`], not [`Kernel::fork`]: like
+//! the Racket prototype's `subprocess`, it starts with an empty descriptor
+//! table and receives only the stdio the spec wires into fds 0-2. Every
+//! other capability reaches it as a session grant (plus the argv path that
+//! names it), never as an inherited descriptor, so a sandbox holds nothing
+//! of the runtime's own descriptor table. Binaries that fork their own
+//! helpers inside the sandbox keep POSIX inheritance through `fork`.
 
 use std::sync::Arc;
 
@@ -69,18 +77,21 @@ pub struct Sandbox {
     pub session: SessionId,
 }
 
-/// Fork a child of `parent`, create and populate its session, wire stdio,
-/// and enter. After this the child is confined. A failure after the fork
-/// (bad stdio descriptor, refused grant) reaps the half-built child and
-/// reclaims its session, so a failed launch leaves no process-table or
-/// label residue.
+/// Spawn a child of `parent` with no descriptors, create and populate its
+/// session, wire stdio, and enter. After this the child is confined and
+/// holds exactly the stdio descriptors `spec` names. A failure after the
+/// spawn (bad stdio descriptor, refused grant) reaps the half-built child
+/// and reclaims its session, so a failed launch leaves no process-table or
+/// label residue. (From a parent inside an entered session the reap is
+/// refused today: the policy's `wait` check runs after the child's exit
+/// dropped its session, so the zombie stays in the parent's table.)
 pub fn setup_sandbox(
     k: &mut Kernel,
     policy: &Arc<ShillPolicy>,
     parent: Pid,
     spec: &SandboxSpec,
 ) -> SysResult<Sandbox> {
-    let child = k.fork(parent)?;
+    let child = k.spawn(parent)?;
     match setup_sandbox_child(k, policy, parent, child, spec) {
         Ok(session) => Ok(Sandbox { child, session }),
         Err(e) => {
@@ -91,7 +102,7 @@ pub fn setup_sandbox(
     }
 }
 
-/// The post-fork half of the launch choreography.
+/// The post-spawn half of the launch choreography.
 fn setup_sandbox_child(
     k: &mut Kernel,
     policy: &Arc<ShillPolicy>,

@@ -275,3 +275,119 @@ fn sandbox_cannot_escape_via_dotdot() {
         shill::vfs::Errno::EACCES
     );
 }
+
+/// Descriptor numbers `fdprobe` scans: beyond every number the runtime in
+/// [`probe_after_opening`] allocates.
+const PROBE_FDS: u32 = 1024;
+
+/// Register `fdprobe`: a binary that reports its own descriptor table —
+/// the open descriptor numbers, then whether every number from 3 below
+/// [`PROBE_FDS`] answers `EBADF`.
+fn install_fd_probe(k: &mut Kernel) {
+    k.register_exec(
+        "fdprobe",
+        std::sync::Arc::new(|k: &mut Kernel, pid: Pid, _argv: &[String]| {
+            let mut open: Vec<u32> = match k.process(pid) {
+                Ok(p) => p.fds.keys().map(|fd| fd.0).collect(),
+                Err(_) => return 1,
+            };
+            open.sort_unstable();
+            let closed =
+                (3..PROBE_FDS).all(|n| k.read(pid, Fd(n), 1) == Err(shill::vfs::Errno::EBADF));
+            let report = format!("open {open:?} closed-above-stdio {closed}\n");
+            k.write(pid, Fd::STDOUT, report.as_bytes()).map_or(1, |_| 0)
+        }),
+    );
+    k.fs.put_file(
+        "/bin/fdprobe",
+        b"#!SIMBIN fdprobe\n",
+        Mode(0o755),
+        Uid::ROOT,
+        Gid::WHEEL,
+    )
+    .unwrap();
+}
+
+/// Open `held` file capabilities in the runtime, then run `fdprobe` in a
+/// sandbox with only `stdout` wired, and return its report.
+fn probe_after_opening(held: usize) -> String {
+    let mut k = shill::setup::standard_kernel();
+    install_fd_probe(&mut k);
+    for i in 0..held {
+        k.fs.put_file(
+            &format!("/held/f{i}"),
+            b"h",
+            Mode(0o644),
+            Uid(100),
+            Gid(100),
+        )
+        .unwrap();
+    }
+    k.fs.put_file("/home/u/probe.out", b"", Mode(0o644), Uid(100), Gid(100))
+        .unwrap();
+    let mut rt = ShillRuntime::new(k, RuntimeConfig::WithPolicy, Cred::user(100));
+    let mut script = String::from("#lang shill/ambient\n");
+    for i in 0..held {
+        script.push_str(&format!("c{i} = open_file(\"/held/f{i}\");\n"));
+    }
+    script.push_str(
+        "probe = open_file(\"/bin/fdprobe\");\nout = open_file(\"/home/u/probe.out\");\nexec(probe, [\"fdprobe\"], stdout = out)\n",
+    );
+    let status = rt.run_ok(&script);
+    assert!(matches!(status, Value::Num(0)), "probe exit: {status:?}");
+    let pid = rt.pid();
+    let fds = &rt.kernel().process(pid).unwrap().fds;
+    assert!(fds.len() > held, "the runtime held every capability");
+    assert!(
+        fds.keys().all(|fd| fd.0 < PROBE_FDS),
+        "the probe scans them all"
+    );
+    let out = rt.kernel().fs.resolve_abs("/home/u/probe.out").unwrap();
+    String::from_utf8(rt.kernel().fs.read(out, 0, 4096).unwrap()).unwrap()
+}
+
+#[test]
+fn sandbox_holds_only_its_wired_stdio() {
+    // A sandbox starts with an empty descriptor table: its capabilities
+    // arrive as session grants, never as descriptors inherited from the
+    // runtime, however many the runtime holds.
+    let bare = probe_after_opening(0);
+    assert_eq!(bare, "open [1] closed-above-stdio true\n");
+    assert_eq!(probe_after_opening(500), bare);
+}
+
+#[test]
+fn nested_sandbox_gets_a_child_session_and_cannot_amplify() {
+    let mut k = shill::setup::standard_kernel();
+    let policy = ShillPolicy::new();
+    k.register_policy(policy.clone());
+    policy.enable_logging(true);
+    let user = k.spawn_user(Cred::ROOT);
+    let tmp = k.fs.resolve_abs("/tmp").unwrap();
+    let lookup = shill::cap::CapPrivs::of(shill::cap::PrivSet::of(&[shill::cap::Priv::Lookup]));
+    let tmp_spec = |privs: &shill::cap::CapPrivs| shill::sandbox::SandboxSpec {
+        grants: vec![shill::sandbox::Grant::vnode(tmp, privs.clone())],
+        ..Default::default()
+    };
+    let outer = shill::sandbox::setup_sandbox(&mut k, &policy, user, &tmp_spec(&lookup)).unwrap();
+
+    let inner = shill::sandbox::setup_sandbox(&mut k, &policy, outer.child, &tmp_spec(&lookup))
+        .expect("attenuated grant from inside a session");
+    assert_eq!(policy.session_of(inner.child), Some(inner.session));
+    assert_ne!(inner.session, outer.session);
+    assert!(policy.log_events().iter().any(|e| matches!(
+        e,
+        shill::sandbox::LogEvent::SessionCreated { session, parent }
+            if *session == inner.session && *parent == Some(outer.session)
+    )));
+
+    let err = shill::sandbox::setup_sandbox(
+        &mut k,
+        &policy,
+        outer.child,
+        &tmp_spec(&shill::cap::CapPrivs::full()),
+    )
+    .map(|sb| sb.child)
+    .unwrap_err();
+    assert_eq!(err, shill::vfs::Errno::EACCES);
+}
