@@ -949,7 +949,7 @@ fn sched_pool_run(sessions: usize, rounds: usize, mode: PoolMode) -> Concurrency
                 .collect();
             for out in pool.run(&shared, jobs) {
                 let out = out.expect("pool job");
-                let slots = completions_to_slots(out.len(), &out);
+                let slots = completions_to_slots(out.len(), out);
                 assert!(slots.iter().all(|r| r.is_ok()));
             }
         }
@@ -1588,7 +1588,7 @@ require "pipeline.cap";
 
 /// Group 10 — language-surface fusion: the async script vs its
 /// sequential twin. The submission count is the structural win (ONE
-/// `submit_scheduled` per round vs one private batch per operation);
+/// submission per round vs one private batch per operation);
 /// wall time mostly tracks the amortizations that buys.
 fn bench_lang() {
     let rounds = 300;
@@ -1623,7 +1623,7 @@ fn bench_lang() {
                 "  \"sequential\": {{\"ns_per_round\": {:.1}, \"submissions_per_round\": {:.2}}},\n",
                 "  \"submission_ratio_sequential_over_fused\": {:.3},\n",
                 "  \"time_ratio_sequential_over_fused\": {:.3},\n",
-                "  \"note\": \"submissions/round is the structural claim (one submit_scheduled vs one private batch per op); ns/round varies with the box\"\n",
+                "  \"note\": \"submissions/round is the structural claim (one submission vs one private batch per op); ns/round varies with the box\"\n",
                 "}}\n"
             ),
             fused_ns,

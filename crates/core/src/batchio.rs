@@ -267,8 +267,8 @@ pub(crate) fn copy_windows(
 /// The interpreter's accumulated batch: inside `async`, the I/O builtins
 /// enqueue DAG fragments here instead of submitting private batches, and
 /// the first `await` flushes the whole accumulation through ONE
-/// [`Kernel::submit_scheduled`] submission, resolving every future from
-/// the completions.
+/// [`Kernel::submit_batch`] submission, resolving every future from its
+/// slot results.
 ///
 /// Guard checks run at *enqueue* time (a violation aborts before anything
 /// joins the batch); errnos surface at *resolution* time as the same
@@ -474,8 +474,8 @@ fn demote_structureless(batch: &mut SyscallBatch) {
     }
 }
 
-/// Flush the accumulated batch: ONE scheduled submission, then resolve
-/// every pending future from the completions. A submission-level refusal
+/// Flush the accumulated batch: ONE submission, then resolve every
+/// pending future from its slot results. A submission-level refusal
 /// (e.g. an injected charge fault — pid-keyed, so the sequential twin's
 /// per-call submissions refuse identically) resolves every future to that
 /// errno.
@@ -485,8 +485,10 @@ pub fn flush_deferred(k: &mut Kernel, pid: Pid, acc: DeferredAcc) {
         return;
     }
     demote_structureless(&mut batch);
-    let completions = match k.submit_scheduled(pid, &batch) {
-        Ok(c) => c,
+    // The slot table holds each result by move; each fragment then moves
+    // its payloads out exactly once — no clones of window data.
+    let mut slots = match k.submit_batch(pid, &batch) {
+        Ok(slots) => slots,
         Err(e) => {
             for f in futures {
                 f.set_ready(Value::SysErr(e));
@@ -494,12 +496,6 @@ pub fn flush_deferred(k: &mut Kernel, pid: Pid, acc: DeferredAcc) {
             return;
         }
     };
-    // Move the completions into a slot-indexed table; each fragment then
-    // moves its payloads out exactly once — no clones of window data.
-    let mut slots: Vec<SysResult<BatchOut>> = vec![Err(Errno::EINVAL); batch.entries.len()];
-    for c in completions {
-        slots[c.slot] = c.out;
-    }
     resolve_futures(k, pid, &mut slots, &futures);
 }
 

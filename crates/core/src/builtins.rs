@@ -10,7 +10,7 @@ use shill_cap::{CapKind, CapPrivs, Priv, PrivSet, RawCap};
 use shill_contracts::{CapError, GuardedCap};
 use shill_kernel::{BatchEntry, BatchOut, FdObject, ObjId, ScheduledRun, SyscallBatch, Ulimits};
 use shill_sandbox::{Grant, SandboxSpec};
-use shill_vfs::{Errno, Mode, SysResult};
+use shill_vfs::{Errno, Mode};
 
 use crate::ast::ContractExpr;
 use crate::env::Env;
@@ -800,9 +800,8 @@ fn builtin_select(interp: &mut Interp, args: Vec<Value>) -> EvalResult {
         })
         .collect();
     let (batch, futures) = acc.into_parts();
-    let n_entries = batch.entries.len();
     let pid = interp.pid;
-    let mut run = match ScheduledRun::prepare(pid, batch) {
+    let mut run = match ScheduledRun::prepare(pid, &batch) {
         Ok(r) => r,
         Err(e) => {
             // Submission-level failure: every future sees the same errno,
@@ -825,10 +824,9 @@ fn builtin_select(interp: &mut Interp, args: Vec<Value>) -> EvalResult {
             }
         };
         if winner.is_none() {
-            let done = run.completed_slots();
             winner = slot_sets
                 .iter()
-                .position(|set| !set.is_empty() && set.iter().all(|s| done.contains(s)));
+                .position(|set| !set.is_empty() && set.iter().all(|&s| run.result_of(s).is_some()));
         }
         if !more {
             break;
@@ -840,10 +838,7 @@ fn builtin_select(interp: &mut Interp, args: Vec<Value>) -> EvalResult {
         }
         return Ok(Value::SysErr(e));
     }
-    let mut slots: Vec<SysResult<BatchOut>> = vec![Err(Errno::EINVAL); n_entries];
-    for c in run.into_completions() {
-        slots[c.slot] = c.out;
-    }
+    let mut slots = run.into_slots();
     crate::batchio::resolve_futures(&mut interp.kernel, pid, &mut slots, &futures);
     Ok(Value::Num(winner.unwrap_or(0) as i64))
 }
@@ -897,7 +892,7 @@ fn builtin_stream_read(interp: &mut Interp, args: Vec<Value>) -> EvalResult {
                 batch.deps.push((slot, slot - 1));
             }
         }
-        let mut run = match ScheduledRun::prepare(pid, batch) {
+        let mut run = match ScheduledRun::prepare(pid, &batch) {
             Ok(r) => r,
             Err(e) => return Ok(Value::SysErr(e)),
         };

@@ -81,7 +81,7 @@ fn async_pipeline_is_one_scheduled_submission() {
     let v = rt.run_ok(DRIVE_FUSED);
     let after = rt.kernel().stats_snapshot();
 
-    // One `submit_scheduled` carried the copy DAG and both reads.
+    // One submission carried the copy DAG and both reads.
     assert_eq!(after.batches - before.batches, 1, "expected ONE submission");
     // The copy's write consumed the read's buffer through a slot reference.
     assert!(after.slot_links - before.slot_links >= 1, "no slot link");

@@ -6,8 +6,7 @@
 //! construction, and a `namei` path walk. PR 1's caches cut the
 //! per-*component* cost; this module cuts the per-*call* cost. A
 //! [`SyscallBatch`] carries a sequence of [`BatchEntry`] operations that
-//! [`crate::Kernel::submit_batch`] executes **in submission order** with
-//! three amortizations:
+//! [`crate::Kernel::submit_batch`] executes with three amortizations:
 //!
 //! * **One ulimit charge per batch.** The cpu-tick budget is read once at
 //!   submit time; entries consume ticks from the pre-read budget (same
@@ -60,12 +59,28 @@
 //! kernel cannot see (say, two writes that must land in order).
 //!
 //! Slot references and declared edges together form the batch's dependency
-//! DAG ([`crate::sched::BatchDag`]). `submit_batch` and `run_sequential`
-//! execute the DAG in submission order (always a valid topological order,
-//! since edges point backward); [`crate::Kernel::submit_scheduled`]
-//! executes it **out of order** in dependency waves — see [`crate::sched`]
-//! for the completion model. All three are observationally equivalent on
-//! batches whose conflicting entries are ordered by the DAG.
+//! DAG ([`crate::sched::BatchDag`]). Every submission path runs it on one
+//! engine, the wave scheduler in [`crate::sched`]: `submit_batch` (slot
+//! results), [`crate::Kernel::submit_scheduled`] (a completion queue), and
+//! the steppable [`crate::Kernel::sched_run_wave`] (worker pools,
+//! `select`, streaming reads). [`crate::Kernel::run_sequential`] is the
+//! one exception: it replays the DAG in submission order (always a valid
+//! topological order, since edges point backward) through the per-call
+//! syscall path, and exists only as the equivalence oracle.
+//!
+//! ## Descriptor numbering
+//!
+//! `submit_batch` executes in wave order, so descriptor numbers returned
+//! by `Open` entries match `run_sequential` only **up to renaming** — the
+//! same contract `submit_scheduled` has (the fd allocator is a monotonic
+//! counter, and a reordered open shifts later numbers). Two shapes keep
+//! exact index order, and with it identical numbers: a batch with no
+//! edges (one wave, ascending slots) and an [`FailMode::Abort`] batch with
+//! no edges (one linear chain). In-batch consumers name descriptors
+//! through [`BatchFd::FromEntry`], so nothing inside a batch depends on
+//! the number; and no non-test caller passes `Open` entries to
+//! `submit_batch` at all (the whole-file helpers use fused entries and
+//! descriptors they already hold).
 //!
 //! Failure semantics are selected per batch by [`FailMode`]. A failed (or
 //! cancelled) entry always poisons its transitive *data* dependents — their
@@ -86,7 +101,7 @@ use shill_vfs::{Errno, Mode, NodeId, Stat, SysResult};
 
 use crate::kernel::Kernel;
 use crate::mac::MacCtx;
-use crate::sched::BatchDag;
+use crate::sched::{BatchDag, ScheduledRun};
 use crate::stats::KernelStats;
 use crate::types::{Fd, OpenFlags, Pid};
 
@@ -535,9 +550,9 @@ pub struct PrefixTrace {
     pub tainted: bool,
 }
 
-/// Live state of a batched submission, installed on the kernel for the
-/// duration of `submit_batch` (or of one scheduler wave). `charge`, `ctx`,
-/// and `namei` consult it.
+/// Live state of a batched submission, installed on the kernel by the wave
+/// engine for a whole one-shot submission or for one stepped wave.
+/// `charge`, `ctx`, and `namei` consult it.
 pub struct BatchState {
     /// The MAC subject context, built once.
     pub ctx: MacCtx,
@@ -628,11 +643,6 @@ impl<'a> BatchGuard<'a> {
         });
         Ok(BatchGuard { k, pid })
     }
-
-    /// The MAC context built at install time.
-    pub fn ctx(&self) -> MacCtx {
-        self.k.batch.as_ref().expect("batch state live").ctx
-    }
 }
 
 impl Drop for BatchGuard<'_> {
@@ -648,43 +658,25 @@ impl Drop for BatchGuard<'_> {
 }
 
 impl Kernel {
-    /// Submit a batch for `pid`. Entries execute in submission order (slot
-    /// references and declared dependencies are honoured trivially — edges
-    /// point backward); the returned vector has one slot per entry. The
-    /// outer `Err` is reserved for submission-level failures (no such
-    /// process, nested submission, malformed slot references).
+    /// Submit a batch for `pid`: the wave engine ([`crate::sched`]) runs
+    /// every wave under one amortized installation, delivers the audit
+    /// span, and returns one slot per entry. The batch is borrowed —
+    /// nothing is cloned. The outer `Err` is reserved for
+    /// submission-level failures (no such process, nested submission,
+    /// malformed slot references).
     ///
-    /// See the module docs for the amortization and equivalence contract;
-    /// see [`crate::Kernel::submit_scheduled`] for the out-of-order
-    /// completion model over the same batches.
+    /// See the module docs for the amortization and equivalence contract
+    /// and for descriptor numbering; [`crate::Kernel::submit_scheduled`]
+    /// is the same run delivered as a completion queue.
     pub fn submit_batch(
         &mut self,
         pid: Pid,
         batch: &SyscallBatch,
     ) -> SysResult<Vec<SysResult<BatchOut>>> {
-        let dag = BatchDag::build(batch)?;
-        let batch_span = self.trace_span(
-            crate::trace::TraceSite::Batch,
-            pid.0 as u64,
-            batch.entries.len() as u64,
-        );
-        let (out, ctx) = {
-            let guard = BatchGuard::install(self, pid)?;
-            KernelStats::bump(&guard.k.stats.batches);
-            let ctx = guard.ctx();
-            let out = guard.k.run_entries_in_order(pid, batch, &dag, true);
-            (out, ctx)
-        };
-        drop(batch_span);
-        // One audit span per batch with per-entry outcomes and the wave
-        // structure the dependency DAG implies. The in-order path has no
-        // per-wave timing (waves are a layering of a sequential run):
-        // `wave_ns` is empty, which policies render as zeros.
-        let outcomes: Vec<Option<Errno>> = out.iter().map(|r| r.as_ref().err().copied()).collect();
-        for p in self.policies() {
-            p.batch_complete(ctx, &outcomes, dag.waves(), &[]);
-        }
-        Ok(out)
+        let mut run = ScheduledRun::prepare(pid, batch)?;
+        self.run_waves(&mut run, usize::MAX)?;
+        self.sched_audit(&run)?;
+        Ok(run.into_slots())
     }
 
     /// Submit a single (typically fused) entry: one kernel crossing, one
@@ -698,10 +690,12 @@ impl Kernel {
 
     /// Execute the same entries through the plain sequential path: one
     /// charge and one MAC context per inner syscall, no prefix reuse, no
-    /// batch audit span. Slot references and dependency poisoning are
-    /// honoured identically (this is the equivalence oracle — the property
-    /// suites and the ablation bench compare both `submit_batch` and
-    /// `submit_scheduled` against it).
+    /// batch audit span, no trace spans, no batch stats. Slot references
+    /// and dependency poisoning are honoured identically. This is the
+    /// equivalence oracle — the property suites and the ablation bench
+    /// compare every driver of the wave engine against it. It shares only
+    /// DAG validation and per-entry dispatch (`exec_entry`) with
+    /// the engine.
     pub fn run_sequential(
         &mut self,
         pid: Pid,
@@ -714,28 +708,25 @@ impl Kernel {
             return Err(Errno::ESRCH);
         }
         let dag = BatchDag::build(batch)?;
-        Ok(self.run_entries_in_order(pid, batch, &dag, false))
+        Ok(self.run_entries_in_order(pid, batch, &dag))
     }
 
-    /// Index-order DAG execution shared by `submit_batch` (with batch state
-    /// installed; `as_batch`) and `run_sequential` (without). Submission
-    /// order is always a valid topological order because every edge points
-    /// backward, so "execute in order, cancelling poisoned slots" realizes
-    /// exactly the semantics the wave scheduler realizes out of order.
-    pub(crate) fn run_entries_in_order(
+    /// The oracle's index-order DAG execution, without batch state.
+    /// Submission order is always a valid topological order because every
+    /// edge points backward, so "execute in order, cancelling poisoned
+    /// slots" realizes exactly the semantics the wave engine realizes out
+    /// of order.
+    fn run_entries_in_order(
         &mut self,
         pid: Pid,
         batch: &SyscallBatch,
         dag: &BatchDag,
-        as_batch: bool,
     ) -> Vec<SysResult<BatchOut>> {
         let mut results: Vec<Option<SysResult<BatchOut>>> = Vec::new();
         results.resize_with(batch.entries.len(), || None);
         for (i, entry) in batch.entries.iter().enumerate() {
             let r = if dag.should_cancel(i, batch.fail_mode, &results) {
-                // Cancelled entries never execute: they are not counted in
-                // `batch_entries` and their `ECANCELED` slot is an audit
-                // cancellation, not a denial.
+                // Cancelled entries never execute.
                 Err(Errno::ECANCELED)
             } else if let Err(e) = self.fault_batch_entry(pid, i) {
                 // An injected entry fault fails the slot before it runs;
@@ -743,14 +734,6 @@ impl Kernel {
                 // a deterministic mid-batch cancellation.
                 Err(e)
             } else {
-                if as_batch {
-                    KernelStats::bump(&self.stats.batch_entries);
-                }
-                // Per-entry dispatch span: this loop serves both the
-                // sequential oracle and `submit_batch`, so the syscall
-                // site covers every in-order execution mode.
-                let _syscall_span =
-                    self.trace_span(crate::trace::TraceSite::Syscall, pid.0 as u64, i as u64);
                 self.exec_entry(pid, entry, &results)
             };
             results[i] = Some(r);

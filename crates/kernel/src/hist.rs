@@ -183,7 +183,8 @@ impl HistSnapshot {
 pub struct SiteHists {
     /// Per-entry syscall dispatch latency.
     pub syscall: LatencyHist,
-    /// Whole-batch submission latency (`submit_batch` / `submit_scheduled`).
+    /// Whole-submission latency, first wave to last, from every driver of
+    /// the wave engine.
     pub batch: LatencyHist,
     /// Scheduler wave execution latency.
     pub wave: LatencyHist,

@@ -232,8 +232,9 @@ pub trait MacPolicy: Send + Sync {
     /// batch, one wave per link for an `&&` chain). Policies with an audit
     /// log record one span per batch instead of one event per call, split
     /// per wave. `wave_ns` carries per-wave execution durations in
-    /// nanoseconds when the tracing plane measured them (empty or zeroed
-    /// otherwise — timing is observability, never policy input).
+    /// nanoseconds when the tracing plane measured them; a wave with no
+    /// entry was not timed and reads as 0 (timing is observability, never
+    /// policy input).
     fn batch_complete(
         &self,
         _ctx: MacCtx,

@@ -1,5 +1,5 @@
-//! io_uring-style completion scheduler for batched submissions: the batch
-//! subsystem's out-of-order execution engine.
+//! io_uring-style completion scheduler for batched submissions: the one
+//! engine that executes a batch.
 //!
 //! [`crate::batch`] gave the runtime→kernel boundary a submission queue;
 //! this module gives it a **completion model**. A [`SyscallBatch`] whose
@@ -15,6 +15,32 @@
 //! [`Completion`] records in *execution* order; slot order is recoverable
 //! via [`Completion::slot`].
 //!
+//! ## One engine, three drivers, one oracle
+//!
+//! A [`ScheduledRun`] plus the crate-private `Kernel::run_waves` is the only
+//! code that executes entries under [`crate::batch::BatchState`]. On a
+//! run's first use `run_waves` bumps the `batches` stat, captures the
+//! audit `MacCtx`, and opens the `batch` trace span (held by the run and
+//! closed after its last wave); every call installs the batch state once
+//! and executes up to a requested number of waves under it. The public
+//! entry points only drive it:
+//!
+//! * [`crate::Kernel::submit_batch`] and [`crate::Kernel::submit_scheduled`]
+//!   run every wave under one installation (one ulimit charge, one MAC
+//!   context, one prefix cache), deliver the audit span, and return slot
+//!   results or the completion queue respectively;
+//! * the steppable form — [`ScheduledRun::prepare`] (pure validation, no
+//!   kernel access, callable outside any lock) +
+//!   [`crate::Kernel::sched_run_wave`] + [`crate::Kernel::sched_audit`] —
+//!   installs per wave, so a worker pool (`shill-sandbox`'s `BatchPool`)
+//!   can acquire the shared kernel per wave instead of per batch, and
+//!   `select`/`stream_read` can look at completions between waves.
+//!
+//! [`crate::Kernel::run_sequential`] shares none of this machinery (only
+//! DAG validation and per-entry dispatch): it replays the entries in index
+//! order through the plain per-call syscall path, and is kept only as the
+//! equivalence oracle.
+//!
 //! ## Equivalence contract
 //!
 //! Scheduled execution must be observationally equivalent to
@@ -23,8 +49,7 @@
 //! *conflicting* entries are ordered by the DAG (the io_uring contract:
 //! operations racing on shared state without a declared edge have
 //! unspecified relative order). Within a wave, entries execute in ascending
-//! slot order, so a batch with **no** edges degenerates to exactly the
-//! in-order path; `FailMode::Abort` batches with no edges are treated as
+//! slot order, so a batch with **no** edges runs in exactly index order; `FailMode::Abort` batches with no edges are treated as
 //! one linear chain (see [`crate::batch::FailMode`]), preserving the
 //! legacy `&&`-chain semantics under the scheduler too. One caveat:
 //! descriptor *numbers* returned by `Open` entries are covered only up to
@@ -43,32 +68,26 @@
 //! while independent entries keep executing. Cancelled slots report
 //! `ECANCELED` without executing: they are not counted in `batch_entries`,
 //! produce no audit denials, and are booked as cancellations (not
-//! failures) in the batch's audit span — identical accounting to the
-//! in-order abort path.
+//! failures) in the batch's audit span.
 //!
-//! ## Locking and the worker pool
+//! ## Per-wave installation and locking
 //!
-//! [`crate::Kernel::submit_scheduled`] runs all waves under one amortized
-//! [`crate::batch::BatchState`] installation (one ulimit charge, one MAC
-//! context, one prefix cache). The steppable form —
-//! [`ScheduledRun::prepare`] (pure validation, no kernel access, callable
-//! outside any lock) + [`crate::Kernel::sched_run_wave`] +
-//! [`crate::Kernel::sched_finish`] — installs batch state **per wave**, so
-//! a worker pool (`shill-sandbox`'s `BatchPool`) can acquire the shared
-//! kernel per-wave instead of per-batch and interleave waves of different
-//! sessions' submissions. Per-wave installation re-reads the tick budget
-//! each wave (write-back keeps the cumulative count, so `EAGAIN` trip
-//! points are unchanged) and starts a fresh prefix cache (correctness is
-//! unaffected — prefix hits are generation/epoch-fenced at probe time).
-//! Lock order is inherited from the executor: the kernel lock is acquired
-//! first and no interior cache/policy lock is ever held across a wave
-//! boundary.
+//! Per-wave installation re-reads the tick budget each wave (write-back
+//! keeps the cumulative count, so `EAGAIN` trip points are unchanged) and
+//! starts a fresh prefix cache (correctness is unaffected — prefix hits
+//! are generation/epoch-fenced at probe time). A stepped run's `batch`
+//! span covers its whole life, including any lock release between waves;
+//! the `wave` spans are the lock-hold view. Lock order is inherited from
+//! the executor: the kernel lock is acquired first and no interior
+//! cache/policy lock is ever held across a wave boundary.
 
 use shill_vfs::{Errno, SysResult};
 
 use crate::batch::{BatchGuard, BatchOut, FailMode, SyscallBatch};
 use crate::kernel::Kernel;
+use crate::mac::MacCtx;
 use crate::stats::KernelStats;
+use crate::trace::{TraceScope, TraceSite};
 use crate::types::Pid;
 
 /// One delivered result: which submission slot completed, and its outcome.
@@ -83,13 +102,13 @@ pub struct Completion {
 }
 
 /// Reassemble completions into slot-ordered results (the `submit_batch`
-/// shape), for callers that want positional access. `EINVAL` fills any
-/// slot that never completed (impossible for a finished run; defensive).
-pub fn completions_to_slots(n: usize, completions: &[Completion]) -> Vec<SysResult<BatchOut>> {
+/// shape), moving each result. `EINVAL` fills any slot that never
+/// completed (impossible for a finished run; defensive).
+pub fn completions_to_slots(n: usize, completions: Vec<Completion>) -> Vec<SysResult<BatchOut>> {
     let mut out: Vec<SysResult<BatchOut>> = vec![Err(Errno::EINVAL); n];
     for c in completions {
         if let Some(slot) = out.get_mut(c.slot) {
-            *slot = c.out.clone();
+            *slot = c.out;
         }
     }
     out
@@ -196,7 +215,7 @@ impl BatchDag {
     /// poisons it; under Abort, any failed-or-cancelled declared
     /// dependency does too. All of `slot`'s dependencies completed in
     /// every valid execution order before `slot` is considered, so this is
-    /// order-independent — the wave scheduler and the in-order paths
+    /// order-independent — the wave engine and the sequential oracle
     /// compute identical cancellation sets.
     pub(crate) fn should_cancel(
         &self,
@@ -210,37 +229,38 @@ impl BatchDag {
     }
 }
 
-/// An in-flight scheduled submission: the validated DAG plus per-slot
-/// results and the completion queue. Built outside any kernel lock by
-/// [`ScheduledRun::prepare`]; advanced one wave at a time by
-/// [`Kernel::sched_run_wave`] (or drained in one go by
-/// [`Kernel::submit_scheduled`]).
-pub struct ScheduledRun {
+/// An in-flight submission: the borrowed batch, its validated DAG, and the
+/// per-slot results. Execution order is the wave layering itself (waves
+/// in order, ascending slots within a wave), so the run records only how
+/// many waves have executed. Built outside any kernel lock by
+/// [`ScheduledRun::prepare`]; advanced by [`Kernel::sched_run_wave`] one
+/// wave at a time, or in one go by [`Kernel::submit_batch`] /
+/// [`Kernel::submit_scheduled`].
+pub struct ScheduledRun<'b> {
     pid: Pid,
-    batch: SyscallBatch,
+    batch: &'b SyscallBatch,
     dag: BatchDag,
     results: Vec<Option<SysResult<BatchOut>>>,
-    /// Slots in execution order. Results are *not* cloned into a
-    /// completion list while the kernel (lock) is held — only this cheap
-    /// index is recorded; [`ScheduledRun::into_completions`] materializes
-    /// the queue afterwards, by move.
-    order: Vec<usize>,
-    /// The MAC context captured at the first wave's installation — the
-    /// context the entries actually ran under. The audit span uses it
-    /// even if the submitting process is gone by finish time.
-    ctx: Option<crate::mac::MacCtx>,
+    /// The MAC context captured at the first installation — the context
+    /// the entries actually ran under. `Some` once the run has started;
+    /// the audit span uses it even if the submitting process is gone by
+    /// audit time.
+    ctx: Option<MacCtx>,
     next_wave: usize,
-    /// Per-wave execution durations in nanoseconds, one slot per executed
-    /// wave. Measured only while the tracing plane's wave site is armed
-    /// (zeros otherwise) and handed to the audit span at finish.
+    /// Per-wave execution durations in nanoseconds, handed to the audit
+    /// span. Recorded only while the tracing plane's wave site is armed,
+    /// so untraced runs never allocate it; an untimed wave reads as 0.
     wave_ns: Vec<u64>,
+    /// The `batch` trace span, open from the first installation until the
+    /// last wave has run.
+    span: Option<TraceScope>,
 }
 
-impl ScheduledRun {
+impl<'b> ScheduledRun<'b> {
     /// Validate `batch` into an executable run. Pure computation — no
     /// kernel access, so a worker pool calls this outside the kernel lock.
-    pub fn prepare(pid: Pid, batch: SyscallBatch) -> SysResult<ScheduledRun> {
-        let dag = BatchDag::build(&batch)?;
+    pub fn prepare(pid: Pid, batch: &'b SyscallBatch) -> SysResult<ScheduledRun<'b>> {
+        let dag = BatchDag::build(batch)?;
         let mut results = Vec::new();
         results.resize_with(batch.entries.len(), || None);
         Ok(ScheduledRun {
@@ -248,16 +268,11 @@ impl ScheduledRun {
             batch,
             dag,
             results,
-            order: Vec::new(),
             ctx: None,
             next_wave: 0,
             wave_ns: Vec::new(),
+            span: None,
         })
-    }
-
-    /// The submitting process.
-    pub fn pid(&self) -> Pid {
-        self.pid
     }
 
     /// Whether every wave has executed.
@@ -265,68 +280,44 @@ impl ScheduledRun {
         self.next_wave >= self.dag.waves.len()
     }
 
-    /// Slots completed so far, in execution order — the steppable
-    /// consumer's per-wave peek: after each [`Kernel::sched_run_wave`] a
-    /// caller (streaming reads, `select`) can see which slots have
-    /// delivered while later waves are still pending.
-    pub fn completed_slots(&self) -> &[usize] {
-        &self.order
-    }
-
     /// Borrow a completed slot's result (`None` until it executes or is
-    /// cancelled). Payloads stay in place — the streaming consumer clones
-    /// the wave it is about to hand out and leaves the rest unmoved for
-    /// [`ScheduledRun::into_completions`].
+    /// cancelled) — the steppable consumer's per-wave peek: after each
+    /// [`Kernel::sched_run_wave`] a caller (streaming reads, `select`) can
+    /// see which slots have delivered while later waves are still pending.
+    /// Payloads stay in place — the streaming consumer clones the wave it
+    /// is about to hand out and leaves the rest unmoved.
     pub fn result_of(&self, slot: usize) -> Option<&SysResult<BatchOut>> {
         self.results.get(slot)?.as_ref()
-    }
-
-    /// Slot-ordered results (the `submit_batch` shape).
-    pub fn slot_results(&self) -> Vec<SysResult<BatchOut>> {
-        self.results
-            .iter()
-            .map(|r| r.clone().unwrap_or(Err(Errno::EINVAL)))
-            .collect()
     }
 
     /// Consume the run into its completion queue (execution order), moving
     /// each result — no payload copies, and callable outside any kernel
     /// lock (this is where the pool does its per-job assembly work).
-    pub fn into_completions(mut self) -> Vec<Completion> {
-        let order = std::mem::take(&mut self.order);
-        drain_completions(order, &mut self.results)
+    pub fn into_completions(self) -> Vec<Completion> {
+        let ScheduledRun {
+            dag,
+            mut results,
+            next_wave,
+            ..
+        } = self;
+        dag.waves[..next_wave]
+            .iter()
+            .flatten()
+            .map(|&slot| Completion {
+                slot,
+                out: results[slot].take().unwrap_or(Err(Errno::EINVAL)),
+            })
+            .collect()
     }
 
-    /// Per-slot outcomes in slot order (`None` = success), for audit.
-    fn outcomes(&self) -> Vec<Option<Errno>> {
-        outcomes_of(&self.results)
+    /// Consume the run into slot-ordered results (the `submit_batch`
+    /// shape), moving each result. `EINVAL` fills a slot that never ran.
+    pub fn into_slots(self) -> Vec<SysResult<BatchOut>> {
+        self.results
+            .into_iter()
+            .map(|r| r.unwrap_or(Err(Errno::EINVAL)))
+            .collect()
     }
-}
-
-/// Per-slot outcomes in slot order (`None` = success) from a result table.
-fn outcomes_of(results: &[Option<SysResult<BatchOut>>]) -> Vec<Option<Errno>> {
-    results
-        .iter()
-        .map(|r| match r {
-            Some(Err(e)) => Some(*e),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Materialize a completion queue from an execution order and a result
-/// table, by move.
-fn drain_completions(
-    order: Vec<usize>,
-    results: &mut [Option<SysResult<BatchOut>>],
-) -> Vec<Completion> {
-    order
-        .into_iter()
-        .map(|slot| Completion {
-            slot,
-            out: results[slot].take().unwrap_or(Err(Errno::EINVAL)),
-        })
-        .collect()
 }
 
 impl Kernel {
@@ -342,35 +333,10 @@ impl Kernel {
         pid: Pid,
         batch: &SyscallBatch,
     ) -> SysResult<Vec<Completion>> {
-        let dag = BatchDag::build(batch)?;
-        let n = batch.entries.len();
-        let mut results: Vec<Option<SysResult<BatchOut>>> = Vec::new();
-        results.resize_with(n, || None);
-        let mut order: Vec<usize> = Vec::with_capacity(n);
-        let mut wave_ns: Vec<u64> = Vec::with_capacity(dag.waves.len());
-        let batch_span = self.trace_span(
-            crate::trace::TraceSite::Batch,
-            pid.0 as u64,
-            batch.entries.len() as u64,
-        );
-        let ctx = {
-            let guard = BatchGuard::install(self, pid)?;
-            KernelStats::bump(&guard.k.stats.batches);
-            let ctx = guard.ctx();
-            for wave in 0..dag.waves.len() {
-                let ns = guard
-                    .k
-                    .exec_wave_core(pid, batch, &dag, wave, &mut results, &mut order);
-                wave_ns.push(ns);
-            }
-            ctx
-        };
-        drop(batch_span);
-        let outcomes = outcomes_of(&results);
-        for p in self.policies() {
-            p.batch_complete(ctx, &outcomes, dag.waves(), &wave_ns);
-        }
-        Ok(drain_completions(order, &mut results))
+        let mut run = ScheduledRun::prepare(pid, batch)?;
+        self.run_waves(&mut run, usize::MAX)?;
+        self.sched_audit(&run)?;
+        Ok(run.into_completions())
     }
 
     /// Execute the next ready wave of `run` under a per-wave batch-state
@@ -378,43 +344,30 @@ impl Kernel {
     /// shared-kernel worker can drop the kernel lock between waves).
     /// Returns whether waves remain. `EINVAL` while another submission's
     /// batch state is live on this kernel.
-    pub fn sched_run_wave(&mut self, run: &mut ScheduledRun) -> SysResult<bool> {
-        if run.ctx.is_none() {
-            // First call: install even when the batch has zero waves, so
-            // the liveness check (`ESRCH`), the `batches` stat, and the
-            // audit context match `submit_scheduled` of the same batch.
-            let guard = BatchGuard::install(self, run.pid)?;
-            KernelStats::bump(&guard.k.stats.batches);
-            // The audit span reports the context the entries ran under,
-            // even if the process is reclaimed before the run finishes.
-            run.ctx = Some(guard.ctx());
-            if !run.finished() {
-                guard.k.exec_wave(run);
-            }
-            return Ok(!run.finished());
-        }
-        if run.finished() {
-            return Ok(false);
-        }
-        let guard = BatchGuard::install(self, run.pid)?;
-        guard.k.exec_wave(run);
-        drop(guard);
-        Ok(!run.finished())
+    pub fn sched_run_wave(&mut self, run: &mut ScheduledRun<'_>) -> SysResult<bool> {
+        self.run_waves(run, 1)
     }
 
     /// Deliver a finished run's audit span (the only step that needs the
     /// kernel). `EINVAL` if waves remain. Worker pools call this under the
     /// kernel lock and then assemble the completion queue outside it with
     /// [`ScheduledRun::into_completions`]. The span carries the context
-    /// captured when the run's first wave installed — not a re-read — so
-    /// a process reclaimed between last wave and finish still gets its
-    /// span, attributed to the credentials the entries were checked under.
-    pub fn sched_audit(&mut self, run: &ScheduledRun) -> SysResult<()> {
+    /// captured when the run first installed — not a re-read — so a
+    /// process reclaimed between last wave and audit still gets its span,
+    /// attributed to the credentials the entries were checked under.
+    pub fn sched_audit(&mut self, run: &ScheduledRun<'_>) -> SysResult<()> {
         if !run.finished() {
             return Err(Errno::EINVAL);
         }
         if let Some(ctx) = run.ctx {
-            let outcomes = run.outcomes();
+            let outcomes: Vec<Option<Errno>> = run
+                .results
+                .iter()
+                .map(|r| match r {
+                    Some(Err(e)) => Some(*e),
+                    _ => None,
+                })
+                .collect();
             for p in self.policies() {
                 p.batch_complete(ctx, &outcomes, run.dag.waves(), &run.wave_ns);
             }
@@ -422,84 +375,98 @@ impl Kernel {
         Ok(())
     }
 
-    /// Deliver a finished run's audit span and hand back its completion
-    /// queue. `EINVAL` if waves remain.
-    pub fn sched_finish(&mut self, run: ScheduledRun) -> SysResult<Vec<Completion>> {
-        self.sched_audit(&run)?;
-        Ok(run.into_completions())
+    /// The batch engine: install batch state once and execute up to
+    /// `max_waves` waves of `run` under it. The first call also does the
+    /// per-submission setup — `batches` stat, audit context, `batch`
+    /// span — and installs even when the batch has zero waves, so the
+    /// liveness check (`ESRCH`) holds for empty batches too. Returns
+    /// whether waves remain.
+    pub(crate) fn run_waves(
+        &mut self,
+        run: &mut ScheduledRun<'_>,
+        max_waves: usize,
+    ) -> SysResult<bool> {
+        if run.ctx.is_some() && run.finished() {
+            return Ok(false);
+        }
+        let guard = BatchGuard::install(self, run.pid)?;
+        if run.ctx.is_none() {
+            KernelStats::bump(&guard.k.stats.batches);
+            run.ctx = guard.k.batch.as_ref().map(|st| st.ctx);
+            run.span = guard.k.trace_span(
+                TraceSite::Batch,
+                run.pid.0 as u64,
+                run.batch.entries.len() as u64,
+            );
+        }
+        for _ in 0..max_waves {
+            if run.finished() {
+                break;
+            }
+            guard.k.exec_wave(run);
+        }
+        drop(guard);
+        if run.finished() {
+            run.span = None;
+        }
+        Ok(!run.finished())
     }
 
-    /// Execute one wave: cancelled slots complete immediately with
-    /// `ECANCELED`; live slots execute in ascending slot order within the
-    /// wave. Requires installed batch state.
-    fn exec_wave(&mut self, run: &mut ScheduledRun) {
-        // Split the borrows: the batch/dag are read-only while results and
-        // order are written.
+    /// Execute the run's next wave: cancelled slots complete immediately
+    /// with `ECANCELED`; live slots execute in ascending slot order within
+    /// the wave. Requires installed batch state. Records the wave's
+    /// duration only when the tracing plane's wave site is armed — the off
+    /// path never reads the clock.
+    fn exec_wave(&mut self, run: &mut ScheduledRun<'_>) {
         let ScheduledRun {
             pid,
             batch,
             dag,
             results,
-            order,
             next_wave,
             wave_ns,
             ..
         } = run;
-        let ns = self.exec_wave_core(*pid, batch, dag, *next_wave, results, order);
-        wave_ns.push(ns);
-        *next_wave += 1;
-    }
-
-    /// The wave executor shared by the one-shot and steppable paths.
-    /// Returns the wave's execution duration in nanoseconds when the
-    /// tracing plane's wave site is armed, 0 otherwise — the off path
-    /// never reads the clock.
-    fn exec_wave_core(
-        &mut self,
-        pid: Pid,
-        batch: &SyscallBatch,
-        dag: &BatchDag,
-        wave: usize,
-        results: &mut [Option<SysResult<BatchOut>>],
-        order: &mut Vec<usize>,
-    ) -> u64 {
+        let (pid, wave) = (*pid, *next_wave);
         KernelStats::bump(&self.stats.sched_waves);
-        let _wave_span = self.trace_span(crate::trace::TraceSite::Wave, pid.0 as u64, wave as u64);
+        let _wave_span = self.trace_span(TraceSite::Wave, pid.0 as u64, wave as u64);
         let wave_t0 = self
-            .trace_wants(crate::trace::TraceSite::Wave)
+            .trace_wants(TraceSite::Wave)
             .then(std::time::Instant::now);
         // Out-of-order accounting: each already-completed slot with a
         // *larger* index than an executing slot is one submission-order
         // inversion. Slots executed earlier in *this* wave always have
         // smaller indices (within-wave order is ascending), so only prior
-        // waves' completions can invert — count them against a sorted
-        // snapshot instead of rescanning the order list per slot.
-        let mut prior = order.clone();
+        // waves' slots can invert — count them against a sorted snapshot
+        // instead of rescanning them per slot.
+        let mut prior: Vec<usize> = dag.waves[..wave].iter().flatten().copied().collect();
         prior.sort_unstable();
         for &slot in &dag.waves[wave] {
             let r = if dag.should_cancel(slot, batch.fail_mode, results) {
                 KernelStats::bump(&self.stats.sched_cancelled_cone);
                 Err(Errno::ECANCELED)
             } else if let Err(e) = self.fault_batch_entry(pid, slot) {
-                // Slot-keyed injection: the same entry fails here as on
-                // the in-order path, no matter which wave or worker runs
-                // it — execution order never changes the fault schedule.
+                // Slot-keyed injection: the same entry fails here as in
+                // the sequential oracle, no matter which wave or worker
+                // runs it — execution order never changes the fault
+                // schedule.
                 Err(e)
             } else {
                 KernelStats::bump(&self.stats.batch_entries);
-                // Per-entry dispatch span: with the in-order loop in
-                // `crate::batch`, this covers syscall dispatch in all
-                // four execution modes.
-                let _syscall_span =
-                    self.trace_span(crate::trace::TraceSite::Syscall, pid.0 as u64, slot as u64);
+                let _syscall_span = self.trace_span(TraceSite::Syscall, pid.0 as u64, slot as u64);
                 self.exec_entry(pid, &batch.entries[slot], results)
             };
             let inversions = (prior.len() - prior.partition_point(|&s| s < slot)) as u64;
-            KernelStats::add(&self.stats.sched_reorders, inversions);
+            if inversions > 0 {
+                KernelStats::add(&self.stats.sched_reorders, inversions);
+            }
             results[slot] = Some(r);
-            order.push(slot);
         }
-        wave_t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0)
+        if let Some(t0) = wave_t0 {
+            wave_ns.resize(wave, 0);
+            wave_ns.push(t0.elapsed().as_nanos() as u64);
+        }
+        *next_wave += 1;
     }
 }
 
@@ -610,7 +577,7 @@ mod tests {
         assert_eq!(st.slot_links, 2);
         assert_eq!(st.charge_calls, 1, "one amortized installation");
 
-        let scheduled = completions_to_slots(5, &completions);
+        let scheduled = completions_to_slots(5, completions);
         assert_eq!(scheduled[1], Ok(BatchOut::Data(b"data-0".to_vec())));
         let (mut k2, pid2) = setup();
         let sequential = k2.run_sequential(pid2, &batch).unwrap();
@@ -639,7 +606,7 @@ mod tests {
         ])
         .after(2, 1);
         k.stats.reset();
-        let out = completions_to_slots(4, &k.submit_scheduled(pid, &batch).unwrap());
+        let out = completions_to_slots(4, k.submit_scheduled(pid, &batch).unwrap());
         assert_eq!(out[0], Err(Errno::ENOENT));
         assert_eq!(out[1], Err(Errno::ECANCELED));
         assert_eq!(out[2], Err(Errno::ECANCELED), "cone is transitive");
@@ -664,7 +631,7 @@ mod tests {
                 fail_mode,
                 deps: vec![(1, 0)],
             };
-            let out = completions_to_slots(2, &k.submit_scheduled(pid, &batch).unwrap());
+            let out = completions_to_slots(2, k.submit_scheduled(pid, &batch).unwrap());
             assert_eq!(out[0], Err(Errno::ENOENT));
             if expect_cancel {
                 assert_eq!(out[1], Err(Errno::ECANCELED), "Abort follows order edges");
@@ -701,29 +668,42 @@ mod tests {
         let one_shot = k.submit_scheduled(pid, &build()).unwrap();
 
         let (mut k2, pid2) = setup();
-        let mut run = ScheduledRun::prepare(pid2, build()).unwrap();
+        let batch = build();
+        let mut run = ScheduledRun::prepare(pid2, &batch).unwrap();
         let mut steps = 0;
         while k2.sched_run_wave(&mut run).unwrap() {
             steps += 1;
         }
         assert_eq!(steps + 1, 3, "three waves stepped");
         assert!(k2.batch.is_none(), "per-wave state released between waves");
-        let stepped = k2.sched_finish(run).unwrap();
+        k2.sched_audit(&run).unwrap();
+        let stepped = run.into_completions();
         assert_eq!(one_shot, stepped);
         assert_eq!(
             k.process(pid).unwrap().cpu_ticks,
             k2.process(pid2).unwrap().cpu_ticks,
             "per-wave tick write-back preserves the cumulative charge"
         );
+
+        // `submit_batch` drives the same engine: identical slot results
+        // (descriptor numbers included) and the same tick charge.
+        let (mut k3, pid3) = setup();
+        let slots = k3.submit_batch(pid3, &build()).unwrap();
+        assert_eq!(slots, completions_to_slots(4, one_shot));
+        assert_eq!(k3.stats.snapshot().sched_waves, 3);
+        assert_eq!(
+            k.process(pid).unwrap().cpu_ticks,
+            k3.process(pid3).unwrap().cpu_ticks
+        );
     }
 
     #[test]
-    fn sched_finish_refuses_unfinished_runs() {
+    fn sched_audit_refuses_unfinished_runs() {
         let (mut k, pid) = setup();
         let batch = SyscallBatch::aborting(vec![stat_entry("/w/sub/f0"), stat_entry("/w/sub/f1")]);
-        let mut run = ScheduledRun::prepare(pid, batch).unwrap();
+        let mut run = ScheduledRun::prepare(pid, &batch).unwrap();
         assert!(k.sched_run_wave(&mut run).unwrap(), "one wave remains");
-        assert!(matches!(k.sched_finish(run), Err(Errno::EINVAL)));
+        assert_eq!(k.sched_audit(&run), Err(Errno::EINVAL));
     }
 
     #[test]
@@ -740,15 +720,17 @@ mod tests {
         // accounting just because a batch has zero waves.
         let (mut k, pid) = setup();
         k.stats.reset();
-        let mut run = ScheduledRun::prepare(pid, SyscallBatch::default()).unwrap();
+        let empty = SyscallBatch::default();
+        let mut run = ScheduledRun::prepare(pid, &empty).unwrap();
         assert!(!k.sched_run_wave(&mut run).unwrap());
         assert_eq!(k.stats.snapshot().batches, 1);
-        assert!(k.sched_finish(run).unwrap().is_empty());
+        k.sched_audit(&run).unwrap();
+        assert!(run.into_completions().is_empty());
 
         // A dead process is refused, exactly as submit_scheduled refuses.
         let ghost = k.spawn_user(Cred::ROOT);
         k.exit(ghost, 0);
-        let mut run = ScheduledRun::prepare(ghost, SyscallBatch::default()).unwrap();
+        let mut run = ScheduledRun::prepare(ghost, &empty).unwrap();
         assert_eq!(k.sched_run_wave(&mut run).unwrap_err(), Errno::ESRCH);
         assert_eq!(
             k.submit_scheduled(ghost, &SyscallBatch::default())

@@ -65,13 +65,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, MutexGuard};
 
 use shill_vfs::sync::Mutex;
-use shill_vfs::SysResult;
 
-use crate::batch::SyscallBatch;
 use crate::hist::SiteHistsSnapshot;
 use crate::kernel::Kernel;
 use crate::mac::MacPolicy;
-use crate::sched::Completion;
 use crate::stats::StatsSnapshot;
 use crate::trace::{Telemetry, TracePlane};
 use crate::types::Pid;
@@ -440,13 +437,6 @@ impl KernelShards {
         })
     }
 
-    /// Submit a scheduled batch for `pid` on its pinned shard (the
-    /// shard-local one-shot path; worker pools use the steppable per-wave
-    /// form instead — see `shill-sandbox`'s `BatchPool`).
-    pub fn submit_scheduled(&self, pid: Pid, batch: &SyscallBatch) -> SysResult<Vec<Completion>> {
-        self.with_pid(pid, |k| k.submit_scheduled(pid, batch))
-    }
-
     /// Recover the kernels once every clone is gone (`None` while other
     /// handles are alive). Shard order is preserved.
     pub fn try_into_kernels(self) -> Option<Vec<Kernel>> {
@@ -459,7 +449,7 @@ impl KernelShards {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::BatchEntry;
+    use crate::batch::{BatchEntry, SyscallBatch};
     use crate::types::ObjId;
     use shill_vfs::{Cred, Gid, Mode, Uid};
 
@@ -566,29 +556,22 @@ mod tests {
             .unwrap();
         });
         let pid1 = shards.with_shard(1, |k| k.spawn_user(Cred::ROOT));
-        let out = shards
-            .submit_scheduled(
-                pid1,
-                &SyscallBatch::single(BatchEntry::ReadFile {
-                    dirfd: None,
-                    path: "/s1.txt".into(),
-                }),
-            )
-            .unwrap();
+        let submit = |path: &str| {
+            let batch = SyscallBatch::single(BatchEntry::ReadFile {
+                dirfd: None,
+                path: path.into(),
+            });
+            shards.with_pid(pid1, |k| k.submit_scheduled(pid1, &batch))
+        };
+        let out = submit("/s1.txt").unwrap();
         assert_eq!(
             out[0].out,
             Ok(crate::batch::BatchOut::Data(b"shard-1".to_vec()))
         );
         // The other shard's namespace is genuinely elsewhere.
-        let miss = shards.submit_scheduled(
-            pid1,
-            &SyscallBatch::single(BatchEntry::ReadFile {
-                dirfd: None,
-                path: "/s0.txt".into(),
-            }),
-        );
+        let miss = submit("/s0.txt");
         assert_eq!(
-            crate::sched::completions_to_slots(1, &miss.unwrap())[0],
+            crate::sched::completions_to_slots(1, miss.unwrap())[0],
             Err(shill_vfs::Errno::ENOENT)
         );
         assert_eq!(shards.stats().batches, 2);

@@ -104,7 +104,9 @@ kernel_stats! {
     /// MAC subject contexts constructed (credential snapshots). Batched
     /// submission builds one per batch and reuses it for every check.
     mac_ctx_setups,
-    /// Batches submitted via [`crate::kernel::Kernel::submit_batch`].
+    /// Submissions run by the wave engine, counted once per run from any
+    /// driver (`submit_batch`, `submit_scheduled`, stepped runs, pool
+    /// jobs).
     batches,
     /// Entries *executed* across all submitted batches. Entries cancelled
     /// by [`crate::batch::FailMode::Abort`] short-circuiting never run and
@@ -115,9 +117,8 @@ kernel_stats! {
     /// In-batch prefix probes that fell back to a full walk (cold entry or
     /// a mid-batch dcache/AVC epoch invalidation).
     batch_prefix_misses,
-    /// Dependency waves executed by the batch scheduler
-    /// ([`crate::kernel::Kernel::submit_scheduled`] and the steppable
-    /// per-wave path).
+    /// Dependency waves executed by the wave engine, from every driver (a
+    /// batch with no edges is one wave).
     sched_waves,
     /// Submission-order inversions performed by the scheduler: pairs where
     /// an entry completed before an earlier-submitted entry (the measure

@@ -42,11 +42,13 @@ pub fn trace_now_ns() -> u64 {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u32)]
 pub enum TraceSite {
-    /// Per-entry syscall dispatch (all four execution modes).
+    /// Per-entry syscall dispatch in the wave engine (every driver; the
+    /// sequential oracle is untraced).
     Syscall = 0,
-    /// Whole-batch submission (`submit_batch` / `submit_scheduled`).
+    /// One whole submission, first wave to last, from every driver
+    /// (`submit_batch`, `submit_scheduled`, stepped runs, pool jobs).
     Batch = 1,
-    /// One scheduler wave (`exec_wave_core`).
+    /// One scheduler wave.
     Wave = 2,
     /// A MAC check that missed the AVC and reached the policy registry.
     Mac = 3,

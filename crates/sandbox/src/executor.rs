@@ -577,48 +577,31 @@ impl BatchPool {
             // the pre-ordered set without sorting or allocating.
             shards.fence_set(home, &job.fence, &mut arena.fence);
         }
-        let entries = job.job.batch.entries.len() as u64;
-        let mut run = ScheduledRun::prepare(pid, job.job.batch)?;
+        let mut run = ScheduledRun::prepare(pid, &job.job.batch)?;
         let mut credit_steal = stolen;
-        // The pool steps waves directly and never passes through
-        // `submit_batch`/`submit_scheduled`, so open the batch-site span
-        // here: it covers the whole job, across every wave and any lock
-        // release between them.
-        let mut batch_span: Option<shill_kernel::TraceScope> = None;
-        {
-            let mut wave = |k: &mut Kernel, run: &mut ScheduledRun| {
-                if credit_steal {
-                    shill_kernel::KernelStats::bump(&k.stats.pool_steals);
-                    k.trace_instant(
-                        shill_kernel::TraceSite::Steal,
-                        pid.0 as u64,
-                        0,
-                        "pool_steal",
-                    );
-                    credit_steal = false;
-                }
-                if batch_span.is_none() {
-                    if let Some(plane) = k.trace_plane_handle() {
-                        batch_span =
-                            plane.span(shill_kernel::TraceSite::Batch, pid.0 as u64, entries);
-                    }
-                }
-                k.sched_run_wave(run)
+        let mut wave = |k: &mut Kernel, run: &mut ScheduledRun| {
+            if credit_steal {
+                shill_kernel::KernelStats::bump(&k.stats.pool_steals);
+                k.trace_instant(
+                    shill_kernel::TraceSite::Steal,
+                    pid.0 as u64,
+                    0,
+                    "pool_steal",
+                );
+                credit_steal = false;
+            }
+            k.sched_run_wave(run)
+        };
+        loop {
+            let more = if fenced {
+                shards.fenced_ordered(home, &arena.fence, |k| wave(k, &mut run))?
+            } else {
+                shards.with_shard(home, |k| wave(k, &mut run))?
             };
-            loop {
-                let more = if fenced {
-                    shards.fenced_ordered(home, &arena.fence, |k| wave(k, &mut run))?
-                } else {
-                    shards.with_shard(home, |k| wave(k, &mut run))?
-                };
-                if !more {
-                    break;
-                }
+            if !more {
+                break;
             }
         }
-        // End the span before the audit: the histogram measures execution,
-        // not bookkeeping.
-        drop(batch_span);
         if fenced {
             shards.fenced_ordered(home, &arena.fence, |k| k.sched_audit(&run))?;
         } else {
@@ -880,11 +863,11 @@ mod tests {
         let results = BatchPool::new(4).run(&shared, jobs);
         assert_eq!(results.len(), 8);
         for (i, r) in results[..4].iter().enumerate() {
-            let slots = completions_to_slots(4, r.as_ref().unwrap());
+            let slots = completions_to_slots(4, r.clone().unwrap());
             assert!(slots.iter().all(|s| s.is_ok()), "job {i}: {slots:?}");
         }
         for (i, r) in results[4..].iter().enumerate() {
-            let slots = completions_to_slots(1, r.as_ref().unwrap());
+            let slots = completions_to_slots(1, r.clone().unwrap());
             assert_eq!(slots[0], Err(Errno::EACCES), "job {i} isolation breach");
         }
         // The fused copies landed.
@@ -970,7 +953,7 @@ mod tests {
                     .collect();
                 let outs = pool.run_sharded(&shards, jobs);
                 for (s, out) in outs.iter().enumerate() {
-                    let slots = completions_to_slots(1, out.as_ref().unwrap());
+                    let slots = completions_to_slots(1, out.clone().unwrap());
                     assert_eq!(
                         slots[0],
                         Ok(shill_kernel::BatchOut::Data(
@@ -1078,7 +1061,7 @@ mod tests {
         };
         let outs = pool.run_sharded(&shards, vec![read(wedged), read(runner)]);
         for (i, (out, shard)) in outs.iter().zip([0usize, 2]).enumerate() {
-            let slots = completions_to_slots(1, out.as_ref().unwrap());
+            let slots = completions_to_slots(1, out.clone().unwrap());
             assert_eq!(
                 slots[0],
                 Ok(shill_kernel::BatchOut::Data(
@@ -1164,7 +1147,7 @@ mod tests {
             Ok(_) => panic!("the panicked job must not report success"),
         }
         for (i, shard) in [(0usize, 0usize), (1, 1)] {
-            let slots = completions_to_slots(1, outs[i].as_ref().unwrap());
+            let slots = completions_to_slots(1, outs[i].clone().unwrap());
             assert_eq!(
                 slots[0],
                 Ok(shill_kernel::BatchOut::Data(
@@ -1189,7 +1172,7 @@ mod tests {
         // pool (the panic policy is disarmed after its one shot).
         let outs = pool.run_sharded(&shards, vec![read(wedged), read(bystander), read(victim)]);
         for (out, shard) in outs.iter().zip([0usize, 1, 2]) {
-            let slots = completions_to_slots(1, out.as_ref().unwrap());
+            let slots = completions_to_slots(1, out.clone().unwrap());
             assert_eq!(
                 slots[0],
                 Ok(shill_kernel::BatchOut::Data(
@@ -1263,8 +1246,8 @@ mod tests {
         );
         // Fencing changes ordering guarantees, never results.
         assert_eq!(
-            completions_to_slots(2, local[0].as_ref().unwrap()),
-            completions_to_slots(2, fenced[0].as_ref().unwrap()),
+            completions_to_slots(2, local[0].clone().unwrap()),
+            completions_to_slots(2, fenced[0].clone().unwrap()),
         );
     }
 

@@ -82,9 +82,7 @@ pub struct Sandbox {
 /// holds exactly the stdio descriptors `spec` names. A failure after the
 /// spawn (bad stdio descriptor, refused grant) reaps the half-built child
 /// and reclaims its session, so a failed launch leaves no process-table or
-/// label residue. (From a parent inside an entered session the reap is
-/// refused today: the policy's `wait` check runs after the child's exit
-/// dropped its session, so the zombie stays in the parent's table.)
+/// label residue, from a confined parent as from an unconfined one.
 pub fn setup_sandbox(
     k: &mut Kernel,
     policy: &Arc<ShillPolicy>,
@@ -307,6 +305,39 @@ mod tests {
         )
         .unwrap();
         assert_eq!(status, 1, "cat must fail on the un-granted file");
+    }
+
+    #[test]
+    fn confined_parent_reaps_its_children_past_max_processes() {
+        // Regression: `proc_exit` drops the zombie's session mapping, and
+        // the policy's `Wait` check used to refuse the confined parent for
+        // the now session-less target — every reap failed with EACCES and
+        // each zombie counted against `max_processes` until fork 9 hit
+        // EAGAIN.
+        let mut k = Kernel::new();
+        let policy = ShillPolicy::new();
+        k.register_policy(policy.clone());
+        let user = k.spawn_user(Cred::user(100));
+        let spec = SandboxSpec {
+            ulimits: Some(Ulimits {
+                max_processes: 8,
+                ..Default::default()
+            }),
+            ..Default::default()
+        };
+        let sb = setup_sandbox(&mut k, &policy, user, &spec).unwrap();
+        for i in 0..20 {
+            let child = k
+                .fork(sb.child)
+                .unwrap_or_else(|e| panic!("fork {i}: {e:?}"));
+            k.exit(child, 0);
+            assert_eq!(k.waitpid(sb.child, child), Ok(0), "reap {i}");
+        }
+        assert!(k.process(sb.child).unwrap().children.is_empty());
+        // Signals and debugging of processes outside the session stay
+        // refused.
+        assert_eq!(k.kill(sb.child, user), Err(Errno::EACCES));
+        assert_eq!(k.pdebug(sb.child, user), Err(Errno::EACCES));
     }
 
     #[test]

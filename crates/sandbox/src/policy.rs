@@ -838,9 +838,9 @@ impl MacPolicy for ShillPolicy {
             .enumerate()
             .map(|(i, w)| {
                 let mut audit = split(w);
-                // Timing arrives only from the scheduled path with the
-                // trace plane's wave site armed; 0 everywhere else. The
-                // differential oracle never compares it.
+                // Timing arrives only with the trace plane's wave site
+                // armed; 0 otherwise. The differential oracle never
+                // compares it.
                 audit.wave_ns = wave_ns.get(i).copied().unwrap_or(0);
                 audit
             })
@@ -961,10 +961,14 @@ impl MacPolicy for ShillPolicy {
             ProcOp::Signal(t) | ProcOp::Wait(t) | ProcOp::Debug(t) => t,
         };
         // §3.2.2 "Process interaction": only processes in the same session
-        // or a descendant session.
-        let ok = match self.session_of(target_pid) {
-            Some(t) => self.descends(t, actor),
-            None => false,
+        // or a descendant session. A target with no session mapping that
+        // the caller may `Wait` on is its own exited child (`proc_exit`
+        // dropped the zombie's mapping; the kernel refuses anyone else's
+        // child with `ECHILD` first), so reaping it is allowed.
+        let ok = match (self.session_of(target_pid), op) {
+            (Some(t), _) => self.descends(t, actor),
+            (None, ProcOp::Wait(_)) => true,
+            (None, _) => false,
         };
         if ok {
             Ok(())

@@ -730,7 +730,7 @@ impl ServerCore {
         let mut out = self.pool.run_sharded(&self.shards, vec![job]);
         let completions = out.pop().unwrap_or(Err(Errno::EINVAL));
         match completions {
-            Ok(c) => Ok(completions_to_slots(n, &c)),
+            Ok(c) => Ok(completions_to_slots(n, c)),
             Err(e) => Err(ServerError::Sys(e)),
         }
     }

@@ -583,7 +583,7 @@ fn scheduled_flat_batches_equivalent_to_sequential() {
                     .k
                     .submit_scheduled(scheduled.child, &batch)
                     .expect("scheduled");
-                let sch = completions_to_slots(batch.entries.len(), &completions);
+                let sch = completions_to_slots(batch.entries.len(), completions);
                 let seq = sequential
                     .k
                     .run_sequential(sequential.child, &batch)
@@ -818,7 +818,10 @@ fn arb_dag_batch(rng: &mut Rng, fds: &[Fd]) -> SyscallBatch {
 /// execution vs the sequential oracle on random dependency DAGs, in both
 /// cache modes — identical per-slot results, identical denial *sets* (the
 /// order of independent entries' denials is legitimately schedule-
-/// dependent), and identical cache/check counters.
+/// dependent), and identical cache/check counters. `submit_batch` rides
+/// along as a second driver of the same wave engine and must match
+/// `submit_scheduled` exactly, descriptor numbers and denial order
+/// included.
 #[test]
 fn random_dags_scheduled_equivalent_to_sequential() {
     let mut total_reorders = 0u64;
@@ -827,6 +830,7 @@ fn random_dags_scheduled_equivalent_to_sequential() {
         let mut rng = Rng::new(0xDA6_5EED);
         for case in 0..24 {
             let mut scheduled = build_fixture(cached);
+            let mut batched = build_fixture(cached);
             let mut sequential = build_fixture(cached);
             scheduled.k.stats.reset();
             sequential.k.stats.reset();
@@ -837,7 +841,19 @@ fn random_dags_scheduled_equivalent_to_sequential() {
                     .k
                     .submit_scheduled(scheduled.child, &batch)
                     .expect("scheduled");
-                let sch = completions_to_slots(batch.entries.len(), &completions);
+                let sch = completions_to_slots(batch.entries.len(), completions);
+                // `submit_batch` drives the same wave engine: its slot
+                // results match `submit_scheduled`'s exactly, descriptor
+                // numbers included.
+                let bat = batched
+                    .k
+                    .submit_batch(batched.child, &batch)
+                    .expect("batched");
+                assert_eq!(
+                    bat, sch,
+                    "case {case} round {round} (cached={cached}): submit_batch \
+                     diverged from submit_scheduled for {batch:?}"
+                );
                 let seq = sequential
                     .k
                     .run_sequential(sequential.child, &batch)
@@ -867,6 +883,11 @@ fn random_dags_scheduled_equivalent_to_sequential() {
             }
             let mut sch_denials = denial_fingerprint(&scheduled.policy);
             let mut seq_denials = denial_fingerprint(&sequential.policy);
+            assert_eq!(
+                denial_fingerprint(&batched.policy),
+                sch_denials,
+                "case {case} (cached={cached}): submit_batch denials diverged"
+            );
             sch_denials.sort();
             seq_denials.sort();
             assert_eq!(
@@ -936,7 +957,7 @@ fn copy_pipeline_completes_in_one_submission() {
         },
     ])
     .after(3, 1);
-    let out = completions_to_slots(4, &f.k.submit_scheduled(f.child, &batch).unwrap());
+    let out = completions_to_slots(4, f.k.submit_scheduled(f.child, &batch).unwrap());
     assert!(out.iter().all(|r| r.is_ok()), "{out:?}");
     let st = f.k.stats.snapshot();
     assert_eq!(st.batches, 1, "one kernel submission for the whole copy");
@@ -1010,7 +1031,7 @@ fn scheduled_and_in_order_spans_are_in_parity() {
     scheduled.k.stats.reset();
     let b = completions_to_slots(
         4,
-        &scheduled
+        scheduled
             .k
             .submit_scheduled(scheduled.child, &make_batch())
             .unwrap(),

@@ -490,7 +490,7 @@ fn batch_pool_matches_sequential_replay() {
             for (j, out) in outs.into_iter().enumerate() {
                 let session = j / 2;
                 let n = if j % 2 == 0 { 4 } else { 1 };
-                let slots = completions_to_slots(n, &out.expect("pool job"));
+                let slots = completions_to_slots(n, out.expect("pool job"));
                 pool_results[session].extend(slots.iter().map(fingerprint));
             }
         }
@@ -553,7 +553,7 @@ fn batch_pool_random_flat_batches_match_sequential_replay() {
         let outs = pool.run(&shared, jobs);
         for (i, out) in outs.into_iter().enumerate() {
             let n = all_batches[i][round].entries.len();
-            let slots = completions_to_slots(n, &out.expect("pool job"));
+            let slots = completions_to_slots(n, out.expect("pool job"));
             pool_results[i].extend(slots.iter().map(fingerprint));
         }
     }
@@ -659,7 +659,7 @@ fn sharded_pool_matches_per_shard_sequential_replay() {
             for (j, out) in outs.into_iter().enumerate() {
                 let (s, rest) = (j / (SESSIONS * 2), j % (SESSIONS * 2));
                 let (i, n) = (rest / 2, if rest % 2 == 0 { 4 } else { 1 });
-                let slots = completions_to_slots(n, &out.expect("pool job"));
+                let slots = completions_to_slots(n, out.expect("pool job"));
                 pool_results[s][i].extend(slots.iter().map(fingerprint));
             }
         }

@@ -892,7 +892,7 @@ fn run_mode(
             "batched" => k.submit_batch(child, b).expect("batched"),
             "scheduled" => completions_to_slots(
                 b.entries.len(),
-                &k.submit_scheduled(child, b).expect("scheduled"),
+                k.submit_scheduled(child, b).expect("scheduled"),
             ),
             other => unreachable!("unknown mode {other}"),
         };
@@ -950,7 +950,7 @@ fn run_pool_mode(cached: bool, schedule: Option<&str>, batches: &[SyscallBatch])
             })],
         );
         let completions = outs.into_iter().next().unwrap().expect("pool job");
-        let slots = completions_to_slots(b.entries.len(), &completions);
+        let slots = completions_to_slots(b.entries.len(), completions);
         results.push(slots.iter().map(fingerprint).collect());
     }
     let snap = shards.stats();
@@ -1198,7 +1198,7 @@ fn fuzzed_workloads_keep_spans_balanced_with_tracing_on() {
         for (i, b) in batches.iter().enumerate() {
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 k.submit_scheduled(child, b).map(|c| {
-                    completions_to_slots(b.entries.len(), &c)
+                    completions_to_slots(b.entries.len(), c)
                         .iter()
                         .map(fingerprint)
                         .collect::<Vec<_>>()

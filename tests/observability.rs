@@ -15,11 +15,11 @@ use std::sync::Arc;
 use shill::cap::{CapPrivs, Priv, PrivSet};
 use shill::kernel::{
     BatchArg, BatchEntry, BatchFd, FailMode, FaultPlane, Fd, Kernel, KernelShards, OpenFlags, Pid,
-    SyscallBatch, TraceEvent, TraceKind, TracePlane, TraceSite,
+    ScheduledRun, SyscallBatch, TraceEvent, TraceKind, TracePlane, TraceSite,
 };
 use shill::prelude::*;
 use shill::sandbox::{
-    setup_sandbox, BatchJob, BatchPool, Grant, SandboxSpec, ShardedBatchJob, ShillPolicy,
+    setup_sandbox, BatchJob, BatchPool, Grant, LogEvent, SandboxSpec, ShardedBatchJob, ShillPolicy,
 };
 
 fn caps(privs: &[Priv]) -> CapPrivs {
@@ -321,6 +321,90 @@ fn spans_balance_through_the_sharded_pool() {
         .filter(|e| e.site == TraceSite::Wave && e.kind == TraceKind::End)
         .count() as u64;
     assert_eq!(tele.hists.wave.count, waves);
+}
+
+/// Every driver of the wave engine — `submit_batch`, `submit_scheduled`,
+/// a stepped `sched_run_wave` loop, and a `BatchPool` job — records
+/// exactly one `batch` span and one `wave` span per wave, and delivers the
+/// same audit span (outcomes and per-wave split).
+#[test]
+fn every_driver_records_one_batch_span_and_one_wave_span_per_wave() {
+    let stat = |path: &str| BatchEntry::Stat {
+        dirfd: None,
+        path: path.into(),
+        follow: true,
+    };
+    // Waves [[0, 3], [1], [2]]; slot 1 is denied.
+    let three_waves = || {
+        SyscallBatch::new(vec![
+            stat("/obs/pub/f0"),
+            stat("/obs/secret"),
+            stat("/obs/pub/f1"),
+            stat("/obs/pub/f2"),
+        ])
+        .after(1, 0)
+        .after(2, 1)
+    };
+    let mut audits = Vec::new();
+    for driver in ["submit_batch", "submit_scheduled", "stepped", "pool"] {
+        let policy = ShillPolicy::new();
+        let shards = KernelShards::new_with(1, |k, _| populate_fs(k));
+        shards.register_policy(policy.clone());
+        policy.enable_logging(true);
+        let (child, _fds) = build_sandbox(&mut shards.lock_shard(0), &policy);
+        shards.set_trace_plane(Some("sites=batch+wave;cap=4096"));
+        let batch = three_waves();
+        match driver {
+            "submit_batch" => {
+                shards.with_shard(0, |k| k.submit_batch(child, &batch).unwrap());
+            }
+            "submit_scheduled" => {
+                shards.with_shard(0, |k| k.submit_scheduled(child, &batch).unwrap());
+            }
+            "stepped" => shards.with_shard(0, |k| {
+                let mut run = ScheduledRun::prepare(child, &batch).unwrap();
+                while k.sched_run_wave(&mut run).unwrap() {}
+                k.sched_audit(&run).unwrap();
+            }),
+            _ => {
+                let job = ShardedBatchJob::local(BatchJob { pid: child, batch });
+                let mut out = BatchPool::new(1).run_sharded(&shards, vec![job]);
+                out.pop().unwrap().expect("pool job");
+            }
+        }
+        let events = shards.telemetry().events;
+        assert_balanced(&events, driver);
+        let ends = |site: TraceSite| {
+            events
+                .iter()
+                .filter(|e| e.site == site && e.kind == TraceKind::End)
+                .count()
+        };
+        assert_eq!(ends(TraceSite::Batch), 1, "{driver}: batch spans");
+        assert_eq!(ends(TraceSite::Wave), 3, "{driver}: wave spans");
+        let mut spans = policy.log_events().into_iter().filter_map(|e| match e {
+            LogEvent::BatchSpan {
+                outcomes, waves, ..
+            } => Some((
+                outcomes,
+                waves
+                    .iter()
+                    .map(|w| (w.executed, w.failed, w.cancelled))
+                    .collect::<Vec<_>>(),
+            )),
+            _ => None,
+        });
+        audits.push(spans.next().expect("one audit span"));
+        assert!(spans.next().is_none(), "{driver}: a second audit span");
+    }
+    assert_eq!(
+        audits[0],
+        (
+            vec![None, Some(shill::vfs::Errno::EACCES), None, None],
+            vec![(2, 0, 0), (1, 1, 0), (1, 0, 0)],
+        )
+    );
+    assert!(audits.iter().all(|a| *a == audits[0]), "{audits:?}");
 }
 
 /// The telemetry artifacts are pinned: Prometheus text exposition carries
