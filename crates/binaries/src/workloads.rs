@@ -150,7 +150,10 @@ pub struct SourceTree {
 /// Build a synthetic `/usr/src`. The paper's task visits 57,817 files and
 /// greps 15,376 `.c` files; `scale` divides those targets (scale 10 →
 /// ≈5.8k files). Ratios of `.c` files and of `mac_`-containing files match
-/// the paper's tree.
+/// the paper's tree. One pass over the nine top-level directories holds
+/// about 1,250 files; later passes use their own top-level directories
+/// (`sys1`, `lib1`, …), so every generated file is a distinct path and the
+/// reported counts are the files the tree holds.
 pub fn source_tree(k: &mut Kernel, scale: usize) -> SourceTree {
     let total_target = 57_817 / scale.max(1);
     let mut rng = Lcg::new(7);
@@ -162,7 +165,11 @@ pub fn source_tree(k: &mut Kernel, scale: usize) -> SourceTree {
     let mut with_pattern = 0usize;
     let mut di = 0usize;
     'outer: loop {
-        let d1 = dirs[di % dirs.len()];
+        let pass = di / dirs.len();
+        let d1 = match pass {
+            0 => dirs[di].to_string(),
+            _ => format!("{}{pass}", dirs[di % dirs.len()]),
+        };
         di += 1;
         for sub in 0..12 {
             let dir = format!("/usr/src/{d1}/sub{sub:02}");
@@ -391,6 +398,35 @@ mod tests {
         assert!((0.2..0.35).contains(&ratio), "c ratio {ratio}");
         assert!(t.c_files_with_pattern > 0);
         assert!(k.fs.resolve_abs("/usr/src/sys/sub00").is_ok());
+    }
+
+    /// Walk the generated tree and count the regular files it really
+    /// holds: the reported totals must be exactly those.
+    #[test]
+    fn source_tree_reports_the_files_it_holds() {
+        for scale in [40, 10] {
+            let mut k = Kernel::new();
+            let t = source_tree(&mut k, scale);
+            assert_eq!(t.total_files, 57_817 / scale);
+            let (mut files, mut c_files) = (0, 0);
+            let mut dirs = vec![k.fs.resolve_abs(t.root).unwrap()];
+            while let Some(dir) = dirs.pop() {
+                for name in k.fs.readdir(dir).unwrap() {
+                    let node = k.fs.lookup(dir, &name).unwrap();
+                    match k.fs.node(node).unwrap().file_type() {
+                        shill_vfs::FileType::Directory => dirs.push(node),
+                        _ => {
+                            files += 1;
+                            if name.ends_with(".c") {
+                                c_files += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            assert_eq!(files, t.total_files, "scale {scale}");
+            assert_eq!(c_files, t.c_files, "scale {scale}");
+        }
     }
 
     #[test]

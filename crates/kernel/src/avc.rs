@@ -23,8 +23,14 @@
 //!   about the operand, not just the object.
 //! * The cache is consulted at all only when **every** registered policy
 //!   opted in via `decisions_cacheable`.
+//!
+//! A subject that every policy leaves unrestricted never reaches this
+//! cache: the subject verdict memoized with its process
+//! ([`crate::process::SubjectVerdict`]) answers its checks first, so only
+//! confined subjects record entries here.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use shill_vfs::sync::Mutex;
@@ -93,21 +99,75 @@ pub fn avc_socket_class(op: &SocketOp) -> Option<AvcClass> {
     }
 }
 
+/// Hasher for the cache's keys: pids, object ids and class tags are small
+/// integers the kernel allocates, never strings a caller picks, so an
+/// FxHash-style rotate-xor-multiply mix spreads them at a few instructions
+/// per word instead of SipHash's rounds on every probe.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl IdHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(n as u64);
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_isize(&mut self, n: isize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// Initial room in a subject's own map: a short-lived sandbox records a
+/// handful of verdicts, and one allocation should hold them.
+const SUBJECT_CAPACITY: usize = 8;
+
+/// Cached allow verdicts, indexed by subject first so that a subject's
+/// exit drops its own verdicts without scanning anyone else's.
+#[derive(Debug, Default)]
+struct Vectors {
+    /// subject → (object, class) → combined epoch at which the allow was
+    /// recorded. Presence at the current epoch means "allowed".
+    by_subject: IdMap<Pid, IdMap<(ObjId, AvcClass), u64>>,
+    /// Entries across all subjects.
+    len: usize,
+}
+
 /// The access-vector cache. Interior-mutable (lock + atomic) because MAC
 /// checks run behind `&Kernel` on read-path syscalls, possibly from several
 /// session threads at once.
 #[derive(Debug, Default)]
 pub struct Avc {
-    /// (subject, object, class) → combined epoch at which the allow was
-    /// recorded. Presence at the current epoch means "allowed".
-    entries: Mutex<HashMap<(Pid, ObjId, AvcClass), u64>>,
+    entries: Mutex<Vectors>,
     enabled: AtomicBool,
 }
 
 impl Avc {
     pub fn new() -> Avc {
         Avc {
-            entries: Mutex::new(HashMap::new()),
+            entries: Mutex::new(Vectors::default()),
             enabled: AtomicBool::new(true),
         }
     }
@@ -135,11 +195,16 @@ impl Avc {
         if !self.enabled() {
             return false;
         }
-        let mut entries = self.entries.lock();
-        match entries.get(&(pid, obj, class)) {
+        let mut guard = self.entries.lock();
+        let Vectors { by_subject, len } = &mut *guard;
+        let Some(vectors) = by_subject.get_mut(&pid) else {
+            return false;
+        };
+        match vectors.get(&(obj, class)) {
             Some(e) if *e == epoch => true,
             Some(_) => {
-                entries.remove(&(pid, obj, class));
+                vectors.remove(&(obj, class));
+                *len -= 1;
                 false
             }
             None => false,
@@ -151,38 +216,63 @@ impl Avc {
         if !self.enabled() {
             return;
         }
-        let mut entries = self.entries.lock();
-        if entries.len() >= DEFAULT_CAPACITY {
+        let mut guard = self.entries.lock();
+        let Vectors { by_subject, len } = &mut *guard;
+        if *len >= DEFAULT_CAPACITY {
             // Evict stale epochs first; purge wholesale as a last resort.
-            entries.retain(|_, e| *e == epoch);
-            if entries.len() >= DEFAULT_CAPACITY {
-                entries.clear();
+            by_subject.retain(|_, vectors| {
+                vectors.retain(|_, e| *e == epoch);
+                !vectors.is_empty()
+            });
+            *len = by_subject.values().map(IdMap::len).sum();
+            if *len >= DEFAULT_CAPACITY {
+                by_subject.clear();
+                *len = 0;
             }
         }
-        entries.insert((pid, obj, class), epoch);
+        if by_subject
+            .entry(pid)
+            .or_insert_with(|| {
+                IdMap::with_capacity_and_hasher(SUBJECT_CAPACITY, Default::default())
+            })
+            .insert((obj, class), epoch)
+            .is_none()
+        {
+            *len += 1;
+        }
     }
 
     /// Drop every cached verdict; returns how many were live.
     pub fn flush(&self) -> usize {
-        let mut entries = self.entries.lock();
-        let dropped = entries.len();
-        entries.clear();
+        let mut guard = self.entries.lock();
+        let dropped = guard.len;
+        *guard = Vectors::default();
         dropped
     }
 
-    /// Drop verdicts for one subject (process exit).
+    /// Drop verdicts for one subject (process exit): its own index entry,
+    /// whatever else is cached.
     pub fn drop_pid(&self, pid: Pid) {
-        self.entries.lock().retain(|(p, _, _), _| *p != pid);
+        let mut guard = self.entries.lock();
+        if let Some(vectors) = guard.by_subject.remove(&pid) {
+            guard.len -= vectors.len();
+        }
     }
 
     /// Drop verdicts for one object (vnode reclaimed, pipe/socket closed).
     pub fn drop_obj(&self, obj: ObjId) {
-        self.entries.lock().retain(|(_, o, _), _| *o != obj);
+        let mut guard = self.entries.lock();
+        let Vectors { by_subject, len } = &mut *guard;
+        for vectors in by_subject.values_mut() {
+            let before = vectors.len();
+            vectors.retain(|(o, _), _| *o != obj);
+            *len -= before - vectors.len();
+        }
     }
 
     /// Live cached verdicts (tests/diagnostics).
     pub fn entry_count(&self) -> usize {
-        self.entries.lock().len()
+        self.entries.lock().len
     }
 }
 
@@ -240,6 +330,34 @@ mod tests {
         avc.drop_pid(Pid(1));
         assert_eq!(avc.entry_count(), 1);
         avc.drop_obj(vn(5));
+        assert_eq!(avc.entry_count(), 0);
+    }
+
+    #[test]
+    fn capacity_eviction_and_drops_keep_the_count_exact() {
+        let avc = Avc::new();
+        let half = (DEFAULT_CAPACITY / 2) as u64;
+        for n in 0..half {
+            avc.record(Pid(1), vn(n), AvcClass::Read, 0);
+            avc.record(Pid(2), vn(n), AvcClass::Stat, 1);
+        }
+        assert_eq!(avc.entry_count(), DEFAULT_CAPACITY);
+        // Full at epoch 1: pid 1's epoch-0 half is evicted, pid 2 kept.
+        avc.record(Pid(3), vn(0), AvcClass::Read, 1);
+        assert_eq!(avc.entry_count(), half as usize + 1);
+        assert!(!avc.probe(Pid(1), vn(0), AvcClass::Read, 0));
+        assert!(avc.probe(Pid(2), vn(7), AvcClass::Stat, 1));
+        avc.drop_obj(vn(7));
+        assert_eq!(avc.entry_count(), half as usize);
+        avc.drop_pid(Pid(2));
+        assert_eq!(avc.entry_count(), 1);
+        assert!(avc.probe(Pid(3), vn(0), AvcClass::Read, 1));
+        // Full with every entry live: the wholesale purge.
+        for n in 0..DEFAULT_CAPACITY as u64 {
+            avc.record(Pid(4), vn(n), AvcClass::Lookup, 1);
+        }
+        assert_eq!(avc.entry_count(), 1);
+        assert_eq!(avc.flush(), 1);
         assert_eq!(avc.entry_count(), 0);
     }
 

@@ -25,7 +25,10 @@
 //!   ([`crate::mac::MacPolicy::decisions_cacheable`]) — the same contract
 //!   the AVC itself relies on — and the skipped components' `post_lookup`
 //!   propagation notifications are replayed so label state evolves exactly
-//!   as on the full walk.
+//!   as on the full walk. A one-entry batch records no prefix: every entry
+//!   resolves at most one path, so nothing could reuse it. Anyone adding
+//!   an entry that resolves two paths (a rename, a link) must lift that
+//!   shortcut in `BatchGuard::install`.
 //!
 //! What prefix reuse skips, precisely: the intermediate components'
 //! directory-entry scans, MAC `Lookup` re-checks (fenced by the combined
@@ -101,6 +104,7 @@ use shill_vfs::{Errno, Mode, NodeId, Stat, SysResult};
 
 use crate::kernel::Kernel;
 use crate::mac::MacCtx;
+use crate::process::SubjectVerdict;
 use crate::sched::{BatchDag, ScheduledRun};
 use crate::stats::KernelStats;
 use crate::types::{Fd, OpenFlags, Pid};
@@ -556,6 +560,10 @@ pub struct PrefixTrace {
 pub struct BatchState {
     /// The MAC subject context, built once.
     pub ctx: MacCtx,
+    /// The subject's verdict memo, captured from its process at install
+    /// and written back when the batch ends, so checks inside the batch
+    /// revalidate it without a process-table lookup.
+    pub subject: SubjectVerdict,
     /// cpu_ticks at submit time.
     pub base: u64,
     /// The subject's `max_cpu_ticks`.
@@ -565,7 +573,7 @@ pub struct BatchState {
     /// Whether `namei` may reuse dirname resolutions (all loaded policies
     /// opted into verdict caching, or none are loaded — and the AVC is on,
     /// since prefix reuse memoizes MAC lookup verdicts under the same
-    /// contract the AVC does).
+    /// contract the AVC does — and the batch has more than one entry).
     pub reuse_prefixes: bool,
     /// start node → dirname text → resolution. Two-level so probes hash a
     /// borrowed `&str` slice of the caller's path, no allocation.
@@ -609,32 +617,34 @@ pub(crate) struct BatchGuard<'a> {
 }
 
 impl<'a> BatchGuard<'a> {
-    /// Install batch state for `pid`: one ulimit accounting read, one MAC
-    /// context construction. `EINVAL` if a batch is already live (no nested
-    /// submissions: the amortized accounting is per-batch), `ESRCH` for a
-    /// dead process.
-    pub fn install(k: &'a mut Kernel, pid: Pid) -> SysResult<BatchGuard<'a>> {
+    /// Install batch state for `pid` to run a batch of `entries` entries:
+    /// one ulimit accounting read, one MAC context construction. `EINVAL`
+    /// if a batch is already live (no nested submissions: the amortized
+    /// accounting is per-batch), `ESRCH` for a dead process. Every entry
+    /// resolves at most one path, so a one-entry batch has no later walk a
+    /// recorded prefix could serve and records none.
+    pub fn install(k: &'a mut Kernel, pid: Pid, entries: usize) -> SysResult<BatchGuard<'a>> {
         if k.batch.is_some() {
             return Err(Errno::EINVAL);
         }
         // One ulimit accounting operation for the whole installation.
         KernelStats::bump(&k.stats.charge_calls);
-        let (base, limit) = {
+        let subject = SubjectVerdict::default();
+        let (base, limit, cred) = {
             let p = k.process(pid)?;
             if !p.alive() {
                 return Err(Errno::ESRCH);
             }
-            (p.cpu_ticks, p.ulimits.max_cpu_ticks)
+            subject.copy_from(&p.subject);
+            (p.cpu_ticks, p.ulimits.max_cpu_ticks, p.cred)
         };
         // One MAC context construction for the whole installation.
         KernelStats::bump(&k.stats.mac_ctx_setups);
-        let ctx = MacCtx {
-            pid,
-            cred: k.process(pid)?.cred,
-        };
-        let reuse_prefixes = k.prefix_reuse_allowed();
+        let ctx = MacCtx { pid, cred };
+        let reuse_prefixes = entries > 1 && k.prefix_reuse_allowed();
         k.batch = Some(BatchState {
             ctx,
+            subject,
             base,
             limit,
             used: AtomicU64::new(0),
@@ -652,6 +662,7 @@ impl Drop for BatchGuard<'_> {
             // (entries that ran before an unwind stay charged).
             if let Ok(p) = self.k.process_mut(self.pid) {
                 p.cpu_ticks = st.base + st.used.load(Ordering::Relaxed);
+                p.subject.copy_from(&st.subject);
             }
         }
     }
@@ -1170,6 +1181,7 @@ mod tests {
                 pid,
                 cred: Cred::ROOT,
             },
+            subject: SubjectVerdict::default(),
             base: 0,
             limit: u64::MAX,
             used: AtomicU64::new(0),

@@ -9,7 +9,7 @@ use shill_vfs::{
     dac, Access, Cred, DcacheProbe, DeviceKind, Errno, Filesystem, Mode, NodeId, SysResult,
 };
 
-use crate::avc::{avc_class, avc_pipe_class, avc_socket_class, Avc};
+use crate::avc::{avc_class, avc_pipe_class, avc_socket_class, Avc, AvcClass};
 use crate::batch::{BatchState, PrefixHit, PrefixStep, PrefixTrace};
 use crate::fault::{path_key, FaultPlane, FaultSite};
 use crate::mac::{MacCtx, MacPolicy, PipeOp, ProcOp, SocketOp, SystemOp, VnodeOp};
@@ -42,6 +42,28 @@ pub struct Lookup {
     pub name: String,
     /// The final node, if it exists.
     pub node: Option<NodeId>,
+}
+
+/// What MAC dispatch knows about a subject before any object-level work
+/// (see `Kernel::subject`).
+enum Subject {
+    /// Verdict caching is off: the AVC is disabled or a loaded policy did
+    /// not opt into it.
+    Uncached,
+    /// Every loaded policy leaves the subject unrestricted.
+    Free,
+    /// Some policy restricts the subject; carries the combined epoch the
+    /// AVC validates object verdicts against.
+    Restricted(u64),
+}
+
+/// The cached part of a check (see `Kernel::mac_cached`).
+enum Cached {
+    /// Answered without asking the policies.
+    Allowed,
+    /// The policies must be asked; where to record their allow, if the
+    /// access vector is cacheable.
+    Ask(Option<(AvcClass, u64)>),
 }
 
 /// The simulated kernel.
@@ -414,6 +436,18 @@ impl Kernel {
         &self.avc
     }
 
+    /// The subject verdict memoized for `pid` that is still valid at the
+    /// current combined epoch: `Some(true)` if every policy left it
+    /// unrestricted, `Some(false)` if one restricts it, `None` if nothing
+    /// valid is cached (tests/diagnostics; asks no policy).
+    pub fn subject_verdict(&self, pid: Pid) -> Option<bool> {
+        let epoch = self.registry.combined_epoch();
+        match &self.batch {
+            Some(b) if b.ctx.pid == pid => b.subject.get(epoch),
+            _ => self.procs.get(&pid)?.subject.get(epoch),
+        }
+    }
+
     /// Whether a batched submission's amortized state is currently
     /// installed (diagnostics: the executor's worker-pool tests assert the
     /// per-wave install/release discipline never leaks state past a run).
@@ -678,50 +712,101 @@ impl Kernel {
 
     // --- MAC helpers ------------------------------------------------------
 
+    /// The subject-level verdict for `pid`: whether every loaded policy
+    /// leaves it unrestricted ([`MacPolicy::subject_unrestricted`]),
+    /// memoized with the subject — in the live batch's state for the
+    /// batch's own pid, in its process-table entry otherwise — and
+    /// revalidated against the combined epoch on each use. Applies only
+    /// with the AVC on and every policy cacheable, so `security.cache.avc=0`
+    /// sends every check to the policies.
+    fn subject(&self, pid: Pid) -> Subject {
+        if !(self.avc.enabled() && self.registry.cacheable()) {
+            return Subject::Uncached;
+        }
+        // Read before the policies are asked: a transition to restricted
+        // racing with the question bumps the epoch past this tag.
+        let epoch = self.registry.combined_epoch();
+        let memo = match &self.batch {
+            Some(b) if b.ctx.pid == pid => &b.subject,
+            _ => match self.procs.get(&pid) {
+                Some(p) => &p.subject,
+                None => return Subject::Restricted(epoch),
+            },
+        };
+        let free = memo.get(epoch).unwrap_or_else(|| {
+            let free = self.registry.iter().all(|p| p.subject_unrestricted(pid));
+            memo.set(epoch, free);
+            free
+        });
+        if free {
+            Subject::Free
+        } else {
+            Subject::Restricted(epoch)
+        }
+    }
+
+    /// Whether `pid`'s post hooks may be skipped: every policy's are
+    /// no-ops for an unrestricted subject.
+    fn subject_free(&self, pid: Pid) -> bool {
+        matches!(self.subject(pid), Subject::Free)
+    }
+
+    /// Answer a check from the caches when they can: an unrestricted
+    /// subject first, then a memoized allow for this access vector still
+    /// valid at the current combined epoch. Both book an `avc_hits`.
+    /// Denials are never cached and operand-carrying operations have no
+    /// class, so for a restricted subject both reach the policies.
+    fn mac_cached(&self, pid: Pid, obj: ObjId, class: Option<AvcClass>) -> Cached {
+        let epoch = match self.subject(pid) {
+            Subject::Free => {
+                KernelStats::bump(&self.stats.avc_hits);
+                return Cached::Allowed;
+            }
+            Subject::Restricted(epoch) => epoch,
+            Subject::Uncached => return Cached::Ask(None),
+        };
+        let Some(class) = class else {
+            return Cached::Ask(None);
+        };
+        if self.avc.probe(pid, obj, class, epoch) {
+            KernelStats::bump(&self.stats.avc_hits);
+            return Cached::Allowed;
+        }
+        KernelStats::bump(&self.stats.avc_misses);
+        Cached::Ask(Some((class, epoch)))
+    }
+
     pub(crate) fn mac_vnode(&self, pid: Pid, node: NodeId, op: &VnodeOp<'_>) -> SysResult<()> {
         if self.registry.is_empty() {
             return Ok(());
         }
-        // Injected policy-module panic: fires before the AVC probe and the
+        // Injected policy-module panic: fires before the caches and the
         // policy iteration, modeling a hook that dies mid-check. Only
         // armed when a policy is actually registered (it is a *policy*
         // fault); containment is the caller's unwind boundary.
         if let Some(f) = &self.faults {
             f.maybe_panic(Self::fault_pid_key(pid));
         }
-        // Fast path: a previously memoized allow for this access vector,
-        // still valid at the current combined epoch. Denials are never
-        // cached and mutation/name-dependent ops have no class, so both
-        // always take the slow path below.
-        let vector = if self.avc.enabled() && self.registry.cacheable() {
-            avc_class(op)
-        } else {
-            None
+        let obj = ObjId::Vnode(node);
+        let Cached::Ask(vector) = self.mac_cached(pid, obj, avc_class(op)) else {
+            return Ok(());
         };
-        let epoch = vector.map(|_| self.registry.combined_epoch());
-        if let (Some(class), Some(epoch)) = (vector, epoch) {
-            if self.avc.probe(pid, ObjId::Vnode(node), class, epoch) {
-                KernelStats::bump(&self.stats.avc_hits);
-                return Ok(());
-            }
-            KernelStats::bump(&self.stats.avc_misses);
-        }
         let ctx = self.ctx(pid)?;
-        // Only checks that reach the policy modules are spanned: an AVC
+        // Only checks that reach the policy modules are spanned: a cache
         // hit returned above without touching the trace plane.
         let _mac_span = self.trace_span(TraceSite::Mac, pid.0 as u64, node.0);
         for p in self.registry.iter() {
             KernelStats::bump(&self.stats.mac_vnode_checks);
             p.vnode_check(ctx, node, op)?;
         }
-        if let (Some(class), Some(epoch)) = (vector, epoch) {
-            self.avc.record(pid, ObjId::Vnode(node), class, epoch);
+        if let Some((class, epoch)) = vector {
+            self.avc.record(pid, obj, class, epoch);
         }
         Ok(())
     }
 
     pub(crate) fn mac_post_lookup(&self, pid: Pid, dir: NodeId, name: &str, child: NodeId) {
-        if self.registry.is_empty() {
+        if self.registry.is_empty() || self.subject_free(pid) {
             return;
         }
         if let Ok(ctx) = self.ctx(pid) {
@@ -739,9 +824,28 @@ impl Kernel {
         child: NodeId,
         ftype: shill_vfs::FileType,
     ) {
+        if self.subject_free(pid) {
+            return;
+        }
         if let Ok(ctx) = self.ctx(pid) {
             for p in self.registry.iter() {
                 p.vnode_post_create(ctx, dir, name, child, ftype);
+            }
+        }
+    }
+
+    /// `pid` created a pipe or a socket (`pipe`, `socket`, `accept`).
+    pub(crate) fn mac_post_object(&self, pid: Pid, obj: ObjId) {
+        if self.subject_free(pid) {
+            return;
+        }
+        if let Ok(ctx) = self.ctx(pid) {
+            for p in self.registry.iter() {
+                match obj {
+                    ObjId::Pipe(_) => p.pipe_post_create(ctx, obj),
+                    ObjId::Socket(_) => p.socket_post_create(ctx, obj),
+                    ObjId::Vnode(_) => {}
+                }
             }
         }
     }
@@ -752,26 +856,16 @@ impl Kernel {
         }
         // Same memoization discipline as vnodes: pipe data-path verdicts
         // are operand-free and monotone between epoch bumps.
-        let vector = if self.avc.enabled() && self.registry.cacheable() {
-            avc_pipe_class(op)
-        } else {
-            None
+        let Cached::Ask(vector) = self.mac_cached(pid, obj, avc_pipe_class(op)) else {
+            return Ok(());
         };
-        let epoch = vector.map(|_| self.registry.combined_epoch());
-        if let (Some(class), Some(epoch)) = (vector, epoch) {
-            if self.avc.probe(pid, obj, class, epoch) {
-                KernelStats::bump(&self.stats.avc_hits);
-                return Ok(());
-            }
-            KernelStats::bump(&self.stats.avc_misses);
-        }
         let ctx = self.ctx(pid)?;
         let _mac_span = self.trace_span(TraceSite::Mac, pid.0 as u64, 0);
         for p in self.registry.iter() {
             KernelStats::bump(&self.stats.mac_other_checks);
             p.pipe_check(ctx, obj, op)?;
         }
-        if let (Some(class), Some(epoch)) = (vector, epoch) {
+        if let Some((class, epoch)) = vector {
             self.avc.record(pid, obj, class, epoch);
         }
         Ok(())
@@ -782,27 +876,18 @@ impl Kernel {
             return Ok(());
         }
         // Send/Recv are cacheable; lifecycle and address-carrying checks
-        // (Create/Bind/Connect/Listen/Accept) always reach the policies.
-        let vector = if self.avc.enabled() && self.registry.cacheable() {
-            avc_socket_class(op)
-        } else {
-            None
+        // (Create/Bind/Connect/Listen/Accept) reach the policies unless
+        // the subject is unrestricted.
+        let Cached::Ask(vector) = self.mac_cached(pid, obj, avc_socket_class(op)) else {
+            return Ok(());
         };
-        let epoch = vector.map(|_| self.registry.combined_epoch());
-        if let (Some(class), Some(epoch)) = (vector, epoch) {
-            if self.avc.probe(pid, obj, class, epoch) {
-                KernelStats::bump(&self.stats.avc_hits);
-                return Ok(());
-            }
-            KernelStats::bump(&self.stats.avc_misses);
-        }
         let ctx = self.ctx(pid)?;
         let _mac_span = self.trace_span(TraceSite::Mac, pid.0 as u64, 0);
         for p in self.registry.iter() {
             KernelStats::bump(&self.stats.mac_other_checks);
             p.socket_check(ctx, obj, op)?;
         }
-        if let (Some(class), Some(epoch)) = (vector, epoch) {
+        if let Some((class, epoch)) = vector {
             self.avc.record(pid, obj, class, epoch);
         }
         Ok(())

@@ -164,6 +164,26 @@ pub trait MacPolicy: Send + Sync {
         0
     }
 
+    /// Whether this policy currently leaves `pid` entirely unrestricted.
+    /// When every loaded policy says so (and the AVC is on), MAC dispatch
+    /// memoizes the answer with the subject at the combined epoch and
+    /// then answers the subject's checks with `Ok` and skips its post
+    /// hooks without calling any policy. Opting in (returning `true`)
+    /// promises:
+    ///
+    /// * while it returns `true`, every check hook allows `pid` and every
+    ///   post hook (`vnode_post_lookup`, `vnode_post_create`,
+    ///   `pipe_post_create`, `socket_post_create`) is a no-op for it;
+    /// * any transition that makes `pid` restricted bumps
+    ///   [`MacPolicy::cache_epoch`].
+    ///
+    /// Only meaningful for a policy that also opts into
+    /// [`MacPolicy::decisions_cacheable`]. Defaults to `false`: a policy
+    /// that does not opt in sees every check, as without the memo.
+    fn subject_unrestricted(&self, _pid: Pid) -> bool {
+        false
+    }
+
     /// Drain the number of *contended* internal lock acquisitions the
     /// policy accumulated since the last drain (a striped policy counts an
     /// acquisition whose `try_lock` probe found the stripe held). The

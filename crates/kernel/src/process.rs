@@ -1,6 +1,7 @@
 //! Processes and file descriptors.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use shill_vfs::{Cred, Errno, NodeId, SysResult};
 
@@ -42,6 +43,61 @@ pub enum ProcState {
     Reaped,
 }
 
+/// Memo of a process's subject-level MAC verdict: whether every loaded
+/// policy leaves it unrestricted
+/// ([`crate::mac::MacPolicy::subject_unrestricted`]), tagged with the
+/// combined cache epoch read *before* the policies were asked. A tag is
+/// therefore sound whenever it matches the current epoch: an opted-in
+/// policy bumps its epoch on every transition to restricted. Both answers
+/// are kept (one tag each, so a reader never pairs an epoch with the wrong
+/// answer); a new process knows neither, so a reused pid never inherits
+/// one. The tags are `Relaxed`: they publish no other data, and a stale
+/// read only costs a question to the policies.
+#[derive(Debug, Default)]
+pub struct SubjectVerdict {
+    /// `epoch + 1` of the latest "unrestricted" answer; 0 = none.
+    free_at: AtomicU64,
+    /// `epoch + 1` of the latest "restricted" answer; 0 = none.
+    restricted_at: AtomicU64,
+}
+
+impl SubjectVerdict {
+    /// The memoized answer at `epoch` (`true` = unrestricted), if any.
+    /// The epoch `u64::MAX` has no tag and always reads as unknown.
+    pub fn get(&self, epoch: u64) -> Option<bool> {
+        let tag = epoch.wrapping_add(1);
+        if tag == 0 {
+            None
+        } else if self.free_at.load(Ordering::Relaxed) == tag {
+            Some(true)
+        } else if self.restricted_at.load(Ordering::Relaxed) == tag {
+            Some(false)
+        } else {
+            None
+        }
+    }
+
+    /// Memoize `free` as the answer the policies gave at `epoch`.
+    pub fn set(&self, epoch: u64, free: bool) {
+        let cell = if free {
+            &self.free_at
+        } else {
+            &self.restricted_at
+        };
+        cell.store(epoch.wrapping_add(1), Ordering::Relaxed);
+    }
+
+    /// Copy both tags from `other` (batch capture and write-back).
+    pub fn copy_from(&self, other: &SubjectVerdict) {
+        for (dst, src) in [
+            (&self.free_at, &other.free_at),
+            (&self.restricted_at, &other.restricted_at),
+        ] {
+            dst.store(src.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+    }
+}
+
 /// A simulated process.
 #[derive(Debug)]
 pub struct Process {
@@ -57,6 +113,8 @@ pub struct Process {
     pub cpu_ticks: u64,
     /// Live (non-reaped) children.
     pub children: Vec<Pid>,
+    /// Subject-level MAC verdict memo (see `Kernel::subject`).
+    pub(crate) subject: SubjectVerdict,
 }
 
 impl Process {
@@ -72,6 +130,7 @@ impl Process {
             ulimits: Ulimits::default(),
             cpu_ticks: 0,
             children: Vec::new(),
+            subject: SubjectVerdict::default(),
         }
     }
 

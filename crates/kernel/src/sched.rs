@@ -389,7 +389,7 @@ impl Kernel {
         if run.ctx.is_some() && run.finished() {
             return Ok(false);
         }
-        let guard = BatchGuard::install(self, run.pid)?;
+        let guard = BatchGuard::install(self, run.pid, run.batch.entries.len())?;
         if run.ctx.is_none() {
             KernelStats::bump(&guard.k.stats.batches);
             run.ctx = guard.k.batch.as_ref().map(|st| st.ctx);

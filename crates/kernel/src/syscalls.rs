@@ -750,11 +750,7 @@ impl Kernel {
     pub fn pipe(&mut self, pid: Pid) -> SysResult<(Fd, Fd)> {
         self.charge(pid)?;
         let id = self.pipes.create();
-        if let Ok(ctx) = self.ctx(pid) {
-            for p in self.policies() {
-                p.pipe_post_create(ctx, ObjId::Pipe(id));
-            }
-        }
+        self.mac_post_object(pid, ObjId::Pipe(id));
         let p = self.process_mut(pid)?;
         let rfd = p.alloc_fd()?;
         p.install_fd(
@@ -793,11 +789,7 @@ impl Kernel {
         // placeholder.
         self.mac_socket(pid, ObjId::Socket(SockId(0)), &SocketOp::Create(domain))?;
         let sid = self.net.socket(domain);
-        if let Ok(ctx) = self.ctx(pid) {
-            for p in self.policies() {
-                p.socket_post_create(ctx, ObjId::Socket(sid));
-            }
-        }
+        self.mac_post_object(pid, ObjId::Socket(sid));
         let p = self.process_mut(pid)?;
         let fd = p.alloc_fd()?;
         p.install_fd(
@@ -857,11 +849,7 @@ impl Kernel {
         let s = self.fd_sock(pid, fd)?;
         self.mac_socket(pid, ObjId::Socket(s), &SocketOp::Accept)?;
         let conn = self.net.accept(s)?;
-        if let Ok(ctx) = self.ctx(pid) {
-            for p in self.policies() {
-                p.socket_post_create(ctx, ObjId::Socket(conn));
-            }
-        }
+        self.mac_post_object(pid, ObjId::Socket(conn));
         let p = self.process_mut(pid)?;
         let cfd = p.alloc_fd()?;
         p.install_fd(

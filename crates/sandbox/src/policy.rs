@@ -662,6 +662,14 @@ impl MacPolicy for ShillPolicy {
         self.epoch.load(Ordering::Relaxed)
     }
 
+    /// Only processes of an *entered* session are restricted (§3.2.1), and
+    /// every hook is a no-op for the rest. Entering a session is the one
+    /// transition to restricted — a forked child is a new subject — and
+    /// `shill_enter` bumps the epoch.
+    fn subject_unrestricted(&self, pid: Pid) -> bool {
+        self.entered_session_of(pid).is_none()
+    }
+
     /// Drain contended stripe acquisitions since the last drain; the
     /// kernel books them as `policy_stripe_contention` at snapshot time.
     fn take_contention(&self) -> u64 {

@@ -26,16 +26,17 @@ fn enter_invalidates_pre_enter_verdicts() {
     let child = k.fork(user).unwrap();
     let _session = policy.shill_init(child).unwrap();
 
-    // Un-entered session: unrestricted. This warms the AVC for (child,
-    // /data/secret, Read) and every Lookup on the path.
+    // Un-entered session: unrestricted. This caches the subject verdict
+    // "child is unrestricted", which answers every check on the path.
     let fd = k
         .open(child, "/data/secret", OpenFlags::RDONLY, Mode(0))
         .unwrap();
     k.read(child, fd, 1).unwrap();
     k.close(child, fd).unwrap();
-    assert!(
-        k.avc().entry_count() > 0,
-        "pre-enter verdicts should be cached"
+    assert_eq!(
+        k.subject_verdict(child),
+        Some(true),
+        "the pre-enter subject verdict should be cached"
     );
 
     // Enter with no grants: everything must now be denied — the warm cache
