@@ -1,65 +1,49 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablation benches for the design choices DESIGN.md calls out. Each group
+//! runs under its name in `SHILL_BENCH_ONLY` (comma-separated; unset runs
+//! every group) and keeps the number the docs cite it by. With
+//! `SHILL_BENCH_OUT=<dir>` set, every group that records a baseline writes
+//! it as `<dir>/BENCH_<name>.json` through [`shill_bench::Record`], which
+//! adds the core count; a relative `<dir>` resolves against the repository
+//! root, so `SHILL_BENCH_OUT=.` refreshes the committed baselines.
 //!
-//! 1. **Contract checking cost** — Figure 3's `find_jpg` traversal with the
-//!    precise contract vs an `any`-typed contract (no capability guards):
-//!    isolates the language-level proxy cost.
-//! 2. **Session scrub cost** — per-file sandbox churn (the Find pattern):
-//!    how much of sandbox teardown is privilege-map scrubbing.
-//! 3. **Privilege propagation cost** — deep path resolution inside a
-//!    sandbox with and without propagation (granting the leaf directly vs
-//!    deriving privileges along the chain).
-//! 4. **Resolution-cache ablation** — the deep-directory repeated-stat
-//!    workload with the dcache + AVC on vs off (the `security.cache.*`
-//!    sysctls), reporting time per op, policy-reaching MAC checks, and
-//!    directory scans. Set `SHILL_BENCH_CACHE_JSON=<path>` to record a
-//!    machine-readable baseline (committed as `BENCH_cache.json`).
-//! 5. **Batched-submission ablation** — the same entries submitted through
-//!    `Kernel::submit_batch` vs replayed sequentially
-//!    (`Kernel::run_sequential`) on the deep-path stat and streaming-copy
-//!    workloads, reporting ns/op, ulimit charge operations, and MAC
-//!    context setups. Set `SHILL_BENCH_BATCH_JSON=<path>` to record the
-//!    baseline (committed as `BENCH_batch.json`).
-//! 6. **Multi-session throughput** — N sandboxed sessions driving
-//!    open/read/close + batched-stat workloads over one shared kernel
-//!    (`SharedKernel` + `run_sessions` worker threads) vs the same total
-//!    work driven by a single thread. With one global kernel lock the
-//!    threads mostly serialize — this group records the contention
-//!    baseline the ROADMAP's sharding item must beat. Set
-//!    `SHILL_BENCH_CONCURRENCY_JSON=<path>` to record it (committed as
-//!    `BENCH_concurrency.json`).
-//! 7. **Batch-scheduler ablation** — (a) copies as fused pipelines
-//!    (`ReadFile → WriteFile{data: OutputOf}` in ONE scheduled submission)
-//!    vs the two-submission form where the data surfaces to the runtime in
-//!    between; (b) `BatchPool` multi-session scheduled submissions at
-//!    1/2/4 workers (kernel lock acquired per dependency wave; DAG
-//!    validation and completion assembly outside the lock) vs the same
-//!    jobs driven by a single thread. Set `SHILL_BENCH_SCHED_JSON=<path>`
-//!    to record the baseline (committed as `BENCH_sched.json`).
-//! 10. **Language-surface fusion** — a SHILL script's async pipeline
-//!     (deferred copy + reads + stat sweep forced by one `await_all`) vs
-//!     its sequential twin, comparing wall time and batch submissions per
-//!     round. Set `SHILL_BENCH_LANG_JSON=<path>` to record the baseline
-//!     (committed as `BENCH_lang.json`).
-//! 11. **Observability ablation** — the group-5 deep-stat batched workload
-//!     with the trace plane absent vs armed on every site, isolating the
-//!     tracing tax: off-path is one relaxed load per instrumented site,
-//!     on-path pays two clock reads plus a ring push per span. Set
-//!     `SHILL_BENCH_OBS_JSON=<path>` to record the baseline (committed as
-//!     `BENCH_obs.json`); CI gates the on/off ratio at 1.10×.
-//! 12. **Server front-end load generation** — ≥1000 concurrent
-//!     authenticated TCP sessions against the multi-tenant server,
-//!     per-request latency sampled end-to-end through the framed
-//!     protocol (exact-sorted p50/p99). Knobs:
-//!     `SHILL_BENCH_SERVER_SESSIONS`, `SHILL_BENCH_SERVER_ROUNDS`,
-//!     `SHILL_BENCH_SERVER_DRIVERS`. Set `SHILL_BENCH_SERVER_JSON=<path>`
-//!     to record the baseline (committed as `BENCH_server.json`).
+//! The first three groups characterize costs and write nothing. `contract`
+//! (group 1) times Figure 3's `find_jpg` traversal with the precise
+//! contract against an `any`-typed one, isolating the language-level proxy
+//! cost. `churn` (2) cycles one sandbox per item, as Find does, and reports
+//! how much of teardown is privilege-map scrubbing. `propagation` (3)
+//! opens a file at growing depth inside a sandbox to show privilege
+//! derivation along the chain.
+//!
+//! `cache` (group 4) runs deep-path repeated `fstatat` with the dcache and
+//! AVC on against off, in five alternating pairs whose ratios it records
+//! with their median. `batch` (5) submits the same entries through
+//! `Kernel::submit_batch` and replays them with `Kernel::run_sequential`,
+//! on a deep-stat and a streaming-copy workload, counting ulimit charges
+//! and MAC context setups. `sched` (7) compares fused copy pipelines (one
+//! scheduled submission with the data flowing by `OutputOf`) with the
+//! two-submission form, then drives the multi-session workload through a
+//! `BatchPool` of 1, 2 and 4 workers against one thread.
+//!
+//! `shard` (8) is the multi-session workload (8 open/read/close triples
+//! and one 8-entry stat batch per session-round) with sessions pinned
+//! across 1, 2 and 4 kernel shards; at one shard it is the single-lock
+//! baseline that group 6 used to record separately. `policy` (9) churns
+//! sessions with one thread per shard against the striped policy plane and
+//! records stripe contention and pool steals. `lang` (10) runs a SHILL
+//! script's async pipeline against its sequential twin and counts batch
+//! submissions per round. `obs` (11) runs the group-5 deep-stat batched
+//! workload with the trace plane absent against armed on every site; CI
+//! gates the on/off ratio at 1.10×. `server` (12) opens
+//! `SHILL_BENCH_SERVER_SESSIONS` (default 1000) concurrent authenticated
+//! TCP sessions against the multi-tenant server and times every request
+//! end to end (exact-sorted p50/p99).
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use shill::kernel::{BatchEntry, SyscallBatch, TracePlane, TraceSite};
 use shill::prelude::*;
-use shill_bench::{sample, Stats};
+use shill_bench::{sample, Record, Stats};
 use shill_cap::{CapPrivs, Priv, PrivSet};
 use shill_sandbox::{setup_sandbox, Grant, SandboxSpec, ShillPolicy};
 
@@ -187,15 +171,17 @@ fn bench_session_churn() {
     );
 }
 
+/// `/deep/d0/…/d{depth-1}/leaf.bin`: the file the deep-path groups stat.
+fn deep_file(depth: usize) -> String {
+    let dirs: String = (0..depth).map(|i| format!("/d{i}")).collect();
+    format!("/deep{dirs}/leaf.bin")
+}
+
 fn bench_propagation_depth() {
     println!("\n3. privilege propagation along deep paths (open at depth d, ns/op):");
     for depth in [1usize, 3, 6, 9] {
         let mut k = Kernel::new();
-        let mut p = String::from("/deep");
-        for i in 0..depth {
-            p.push_str(&format!("/d{i}"));
-        }
-        let file = format!("{p}/leaf.bin");
+        let file = deep_file(depth);
         k.fs.put_file(&file, b"z", Mode(0o644), Uid::ROOT, Gid::WHEEL)
             .unwrap();
         let policy = ShillPolicy::new();
@@ -232,11 +218,7 @@ struct CacheRun {
 
 fn cache_run(cached: bool, depth: usize, rounds: usize) -> CacheRun {
     let mut k = Kernel::new();
-    let mut p = String::from("/deep");
-    for i in 0..depth {
-        p.push_str(&format!("/d{i}"));
-    }
-    let file = format!("{p}/leaf.bin");
+    let file = deep_file(depth);
     k.fs.put_file(&file, b"z", Mode(0o644), Uid::ROOT, Gid::WHEEL)
         .unwrap();
     let policy = ShillPolicy::new();
@@ -267,54 +249,64 @@ fn cache_run(cached: bool, depth: usize, rounds: usize) -> CacheRun {
 }
 
 fn bench_cache_ablation() {
-    println!("\n4. resolution-cache ablation (stat at depth 9, 50,000 repeats):");
+    const PAIRS: usize = 5;
     let rounds = 50_000;
-    let on = cache_run(true, 9, rounds);
-    let off = cache_run(false, 9, rounds);
+    println!(
+        "\n4. resolution-cache ablation (stat at depth 9, {rounds} repeats, \
+         {PAIRS} alternating on/off pairs):"
+    );
+    // Alternating pairs: drift on a shared box hits both sides of a ratio.
+    let speedup = |(on, off): &(CacheRun, CacheRun)| off.ns_per_op / on.ns_per_op.max(1e-9);
+    let pairs: Vec<(CacheRun, CacheRun)> = (0..PAIRS)
+        .map(|_| (cache_run(true, 9, rounds), cache_run(false, 9, rounds)))
+        .collect();
+    let mut by_speedup: Vec<&(CacheRun, CacheRun)> = pairs.iter().collect();
+    by_speedup.sort_by(|a, b| speedup(a).total_cmp(&speedup(b)));
+    let median = by_speedup[PAIRS / 2];
+    let (on, off) = median;
     let report = |label: &str, r: &CacheRun| {
         println!(
             "   {label:<10} {:>8.0}ns/op  policy checks {:>8}  avc hits {:>8}  dcache hits {:>8}  dir scans {:>8}",
             r.ns_per_op, r.mac_vnode_checks, r.avc_hits, r.dcache_hits, r.dir_scans
         );
     };
-    report("cached:", &on);
-    report("uncached:", &off);
+    report("cached:", on);
+    report("uncached:", off);
+    let check_cut = off.mac_vnode_checks as f64 / on.mac_vnode_checks.max(1) as f64;
+    let scan_cut = off.dir_scans as f64 / on.dir_scans.max(1) as f64;
     println!(
-        "   policy-reaching MAC checks cut {:.1}×; directory scans cut {:.1}×; {:.2}× faster",
-        off.mac_vnode_checks as f64 / on.mac_vnode_checks.max(1) as f64,
-        off.dir_scans as f64 / on.dir_scans.max(1) as f64,
-        off.ns_per_op / on.ns_per_op
+        "   policy-reaching MAC checks cut {check_cut:.1}×; directory scans cut {scan_cut:.1}×; \
+         median {:.2}× faster (pairs {})",
+        speedup(median),
+        pairs
+            .iter()
+            .map(|p| format!("{:.2}", speedup(p)))
+            .collect::<Vec<_>>()
+            .join(", ")
     );
-    if let Ok(path) = std::env::var("SHILL_BENCH_CACHE_JSON") {
-        let json = format!(
-            concat!(
-                "{{\n",
-                "  \"workload\": \"deep-path repeated fstatat, depth 9, {rounds} rounds\",\n",
-                "  \"cached\": {{\"ns_per_op\": {:.1}, \"mac_vnode_checks\": {}, \"avc_hits\": {}, \"dcache_hits\": {}, \"dir_scans\": {}}},\n",
-                "  \"uncached\": {{\"ns_per_op\": {:.1}, \"mac_vnode_checks\": {}, \"avc_hits\": {}, \"dcache_hits\": {}, \"dir_scans\": {}}},\n",
-                "  \"policy_check_reduction\": {:.2},\n",
-                "  \"dir_scan_reduction\": {:.2},\n",
-                "  \"speedup\": {:.3}\n",
-                "}}\n"
-            ),
-            on.ns_per_op,
-            on.mac_vnode_checks,
-            on.avc_hits,
-            on.dcache_hits,
-            on.dir_scans,
-            off.ns_per_op,
-            off.mac_vnode_checks,
-            off.avc_hits,
-            off.dcache_hits,
-            off.dir_scans,
-            off.mac_vnode_checks as f64 / on.mac_vnode_checks.max(1) as f64,
-            off.dir_scans as f64 / on.dir_scans.max(1) as f64,
-            off.ns_per_op / on.ns_per_op,
-            rounds = rounds,
-        );
-        std::fs::write(&path, json).expect("write cache baseline");
-        println!("   baseline written to {path}");
-    }
+    let run = |r: &CacheRun| {
+        Record::new()
+            .float("ns_per_op", r.ns_per_op)
+            .int("mac_vnode_checks", r.mac_vnode_checks)
+            .int("avc_hits", r.avc_hits)
+            .int("dcache_hits", r.dcache_hits)
+            .int("dir_scans", r.dir_scans)
+    };
+    let per_pair = pairs.iter().enumerate().fold(Record::new(), |rec, (i, p)| {
+        rec.float(&format!("pair_{}", i + 1), speedup(p))
+    });
+    Record::new()
+        .str(
+            "workload",
+            format!("deep-path repeated fstatat, depth 9, {rounds} rounds"),
+        )
+        .rec("cached", run(on))
+        .rec("uncached", run(off))
+        .float("policy_check_reduction", check_cut)
+        .float("dir_scan_reduction", scan_cut)
+        .float("speedup", speedup(median))
+        .rec("speedup_pairs", per_pair)
+        .write_baseline("cache");
 }
 
 /// One batch-ablation measurement.
@@ -345,12 +337,7 @@ fn batch_fixture(build: impl FnOnce(&mut Kernel)) -> (Kernel, Pid) {
 /// directory depth 9, the PR 1 cache workload now driven through the batch
 /// path. One "op" is one stat entry.
 fn batch_stat_run(batched: bool, rounds: usize, width: usize) -> BatchRun {
-    let depth = 9;
-    let mut p = String::from("/deep");
-    for i in 0..depth {
-        p.push_str(&format!("/d{i}"));
-    }
-    let file = format!("{p}/leaf.bin");
+    let file = deep_file(9);
     let (mut k, pid) = batch_fixture(|k| {
         k.fs.put_file(&file, b"z", Mode(0o644), Uid::ROOT, Gid::WHEEL)
             .unwrap();
@@ -491,207 +478,52 @@ fn bench_batch_ablation() {
         red(copy_s.charge_calls, copy_b.charge_calls),
         red(copy_s.mac_ctx_setups, copy_b.mac_ctx_setups),
     );
-    if let Ok(path) = std::env::var("SHILL_BENCH_BATCH_JSON") {
-        let wl = |r: &BatchRun| {
-            format!(
-                "{{\"ns_per_op\": {:.1}, \"charge_calls\": {}, \"mac_ctx_setups\": {}, \"batch_prefix_hits\": {}}}",
-                r.ns_per_op, r.charge_calls, r.mac_ctx_setups, r.prefix_hits
+    let run = |r: &BatchRun| {
+        Record::new()
+            .float("ns_per_op", r.ns_per_op)
+            .int("charge_calls", r.charge_calls)
+            .int("mac_ctx_setups", r.mac_ctx_setups)
+            .int("batch_prefix_hits", r.prefix_hits)
+    };
+    let workload = |name: String, b: &BatchRun, s: &BatchRun| {
+        Record::new()
+            .str("workload", name)
+            .rec("batched", run(b))
+            .rec("sequential", run(s))
+            .float("speedup", ratio(s.ns_per_op, b.ns_per_op))
+            .float("charge_reduction", red(s.charge_calls, b.charge_calls))
+            .float(
+                "ctx_setup_reduction",
+                red(s.mac_ctx_setups, b.mac_ctx_setups),
             )
-        };
-        let json = format!(
-            concat!(
-                "{{\n",
-                "  \"deep_stat\": {{\n",
-                "    \"workload\": \"fstatat at depth 9, {sr} rounds x 64-entry batches\",\n",
-                "    \"batched\": {},\n",
-                "    \"sequential\": {},\n",
-                "    \"speedup\": {:.3},\n",
-                "    \"charge_reduction\": {:.2},\n",
-                "    \"ctx_setup_reduction\": {:.2}\n",
-                "  }},\n",
-                "  \"stream_copy\": {{\n",
-                "    \"workload\": \"48 x 2KiB files at depth 4 copied via fused read/write, {cr} rounds\",\n",
-                "    \"batched\": {},\n",
-                "    \"sequential\": {},\n",
-                "    \"speedup\": {:.3},\n",
-                "    \"charge_reduction\": {:.2},\n",
-                "    \"ctx_setup_reduction\": {:.2}\n",
-                "  }}\n",
-                "}}\n"
+    };
+    Record::new()
+        .rec(
+            "deep_stat",
+            workload(
+                format!("fstatat at depth 9, {stat_rounds} rounds x 64-entry batches"),
+                &stat_b,
+                &stat_s,
             ),
-            wl(&stat_b),
-            wl(&stat_s),
-            ratio(stat_s.ns_per_op, stat_b.ns_per_op),
-            red(stat_s.charge_calls, stat_b.charge_calls),
-            red(stat_s.mac_ctx_setups, stat_b.mac_ctx_setups),
-            wl(&copy_b),
-            wl(&copy_s),
-            ratio(copy_s.ns_per_op, copy_b.ns_per_op),
-            red(copy_s.charge_calls, copy_b.charge_calls),
-            red(copy_s.mac_ctx_setups, copy_b.mac_ctx_setups),
-            sr = stat_rounds,
-            cr = copy_rounds,
-        );
-        std::fs::write(&path, json).expect("write batch baseline");
-        println!("   baseline written to {path}");
-    }
+        )
+        .rec(
+            "stream_copy",
+            workload(
+                format!(
+                    "48 x 2KiB files at depth 4 copied via fused read/write, {copy_rounds} rounds"
+                ),
+                &copy_b,
+                &copy_s,
+            ),
+        )
+        .write_baseline("batch");
 }
 
-/// One multi-session measurement: total ops completed and wall time.
+/// One multi-session measurement (groups 7b and 8): total ops completed
+/// and wall time.
 struct ConcurrencyRun {
     ns_per_op: f64,
     ops: u64,
-}
-
-/// Build the shared-kernel fixture for `sessions` confined subtrees and
-/// return per-session work as `SessionTask`s.
-fn concurrency_workload(sessions: usize, rounds: usize, threaded: bool) -> ConcurrencyRun {
-    use shill_sandbox::{run_sessions, SessionBody, SessionTask, SharedKernel};
-
-    let mut k = Kernel::new();
-    let policy = ShillPolicy::new();
-    k.register_policy(policy.clone());
-    for i in 0..sessions {
-        for j in 0..8 {
-            k.fs.put_file(
-                &format!("/work/s{i}/inner/f{j}"),
-                &vec![b'd'; 512],
-                Mode(0o644),
-                Uid::ROOT,
-                Gid::WHEEL,
-            )
-            .unwrap();
-        }
-    }
-    let root = k.fs.root();
-    let work = k.fs.resolve_abs("/work").unwrap();
-    let dirs: Vec<_> = (0..sessions)
-        .map(|i| k.fs.resolve_abs(&format!("/work/s{i}")).unwrap())
-        .collect();
-    let shared = SharedKernel::new(k);
-
-    let leaf = CapPrivs::of(PrivSet::of(&[Priv::Read, Priv::Stat, Priv::Path]));
-    let inner = CapPrivs::of(PrivSet::of(&[Priv::Lookup, Priv::Contents, Priv::Stat]))
-        .with_modifier(Priv::Lookup, leaf.clone());
-    let tasks: Vec<SessionTask> = (0..sessions)
-        .map(|i| {
-            let spec = SandboxSpec {
-                grants: vec![
-                    Grant::vnode(root, CapPrivs::of(PrivSet::of(&[Priv::Lookup]))),
-                    Grant::vnode(work, CapPrivs::of(PrivSet::of(&[Priv::Lookup]))),
-                    Grant::vnode(
-                        dirs[i],
-                        CapPrivs::of(PrivSet::of(&[Priv::Lookup, Priv::Contents, Priv::Stat]))
-                            .with_modifier(Priv::Lookup, inner.clone()),
-                    ),
-                ],
-                ..Default::default()
-            };
-            let body: SessionBody = Arc::new(move |sk, pid, _sid| {
-                for _ in 0..rounds {
-                    for j in 0..8 {
-                        let ok = sk.with(|k| {
-                            let fd = k.open(
-                                pid,
-                                &format!("/work/s{i}/inner/f{j}"),
-                                OpenFlags::RDONLY,
-                                Mode(0),
-                            )?;
-                            let _ = k.read(pid, fd, 512)?;
-                            k.close(pid, fd)
-                        });
-                        if ok.is_err() {
-                            return 1;
-                        }
-                    }
-                    let batch = SyscallBatch::new(
-                        (0..8)
-                            .map(|j| BatchEntry::Stat {
-                                dirfd: None,
-                                path: format!("/work/s{i}/inner/f{j}"),
-                                follow: true,
-                            })
-                            .collect(),
-                    );
-                    let out = sk.with(|k| k.submit_batch(pid, &batch));
-                    match out {
-                        Ok(rs) if rs.iter().all(|r| r.is_ok()) => {}
-                        _ => return 1,
-                    }
-                }
-                0
-            });
-            SessionTask { spec, body }
-        })
-        .collect();
-
-    // ops per session per round: 8 open/read/close triples + 8 stat entries.
-    let ops = (sessions * rounds * (8 * 3 + 8)) as u64;
-    let t0 = Instant::now();
-    if threaded {
-        let outcomes =
-            run_sessions(&shared, &policy, shill_vfs::Cred::user(100), tasks).expect("sessions");
-        assert!(outcomes.iter().all(|o| o.status == 0));
-    } else {
-        // Single-threaded baseline: identical total work, sessions driven
-        // one after another on this thread.
-        for task in tasks {
-            let outcomes = run_sessions(&shared, &policy, shill_vfs::Cred::user(100), vec![task])
-                .expect("session");
-            assert!(outcomes.iter().all(|o| o.status == 0));
-        }
-    }
-    let elapsed = t0.elapsed();
-    ConcurrencyRun {
-        ns_per_op: elapsed.as_nanos() as f64 / ops as f64,
-        ops,
-    }
-}
-
-fn bench_concurrency() {
-    let sessions = 4;
-    let rounds = 400;
-    println!(
-        "\n6. multi-session throughput ({sessions} sessions x {rounds} rounds, shared kernel):"
-    );
-    let threaded = concurrency_workload(sessions, rounds, true);
-    let single = concurrency_workload(sessions, rounds, false);
-    let report = |label: &str, r: &ConcurrencyRun| {
-        println!(
-            "   {label:<28} {:>8.0}ns/op  ({} ops, {:.2}M ops/s)",
-            r.ns_per_op,
-            r.ops,
-            1e3 / r.ns_per_op
-        );
-    };
-    report("4 worker threads:", &threaded);
-    report("single-threaded baseline:", &single);
-    println!(
-        "   threaded/single ratio: {:.2}× (global kernel lock; the sharding \
-         item exists to push this below 1.0)",
-        threaded.ns_per_op / single.ns_per_op.max(1e-9)
-    );
-    if let Ok(path) = std::env::var("SHILL_BENCH_CONCURRENCY_JSON") {
-        let json = format!(
-            concat!(
-                "{{\n",
-                "  \"workload\": \"{s} sessions x {r} rounds of 8 open/read/close + 8-entry stat batch, shared kernel\",\n",
-                "  \"threaded\": {{\"ns_per_op\": {:.1}, \"ops\": {}}},\n",
-                "  \"single_thread\": {{\"ns_per_op\": {:.1}, \"ops\": {}}},\n",
-                "  \"threaded_over_single\": {:.3}\n",
-                "}}\n"
-            ),
-            threaded.ns_per_op,
-            threaded.ops,
-            single.ns_per_op,
-            single.ops,
-            threaded.ns_per_op / single.ns_per_op.max(1e-9),
-            s = sessions,
-            r = rounds,
-        );
-        std::fs::write(&path, json).expect("write concurrency baseline");
-        println!("   baseline written to {path}");
-    }
 }
 
 /// One scheduler measurement.
@@ -795,10 +627,9 @@ fn sched_copy_run(fused: bool, rounds: usize, files: usize, size: usize) -> Sche
 
 /// How group 7b drives the multi-session workload.
 enum PoolMode {
-    /// The PR 3 shape `BENCH_concurrency.json` recorded: per-call
-    /// open/read/close triples + one batched stat sweep, one session after
-    /// another on this thread. This is the single-thread baseline the
-    /// acceptance criterion compares against.
+    /// The original per-call shape: open/read/close triples + one batched
+    /// stat sweep, one session after another on this thread. This is the
+    /// single-thread baseline the pool is compared against.
     NaiveSingle,
     /// The same work as scheduled submissions (8 fused open→read→close
     /// chains in ONE batch, reads overlapping as a wave, plus the stat
@@ -810,13 +641,13 @@ enum PoolMode {
 }
 
 /// `sessions` sandboxed subtrees × `rounds`, each round touching 8 files
-/// (open/read/close) and stat-sweeping them — exactly the ablation-6
-/// workload — driven naively or through the scheduler + pool. One "op" is
-/// one logical syscall (8×3 + 8 per session-round), so ns/op is directly
-/// comparable with `BENCH_concurrency.json`.
+/// (open/read/close) and stat-sweeping them — the group-8 workload —
+/// driven naively or through the scheduler + pool. One "op" is one logical
+/// syscall (8×3 + 8 per session-round), so ns/op is directly comparable
+/// with `BENCH_shard.json`.
 fn sched_pool_run(sessions: usize, rounds: usize, mode: PoolMode) -> ConcurrencyRun {
     use shill::kernel::{completions_to_slots, BatchFd, SyscallBatch};
-    use shill_sandbox::{BatchJob, BatchPool, SharedKernel};
+    use shill_sandbox::{BatchJob, BatchPool, ShardedBatchJob, SharedKernel};
 
     let mut k = Kernel::new();
     let policy = ShillPolicy::new();
@@ -931,23 +762,19 @@ fn sched_pool_run(sessions: usize, rounds: usize, mode: PoolMode) -> Concurrency
             // cross-round ordering is immaterial): workers drain it,
             // acquiring the kernel per wave.
             let pool = BatchPool::new(workers);
-            let jobs: Vec<BatchJob> = (0..rounds / FOLD)
+            let jobs: Vec<ShardedBatchJob> = (0..rounds / FOLD)
                 .flat_map(|_| {
                     (0..sessions).flat_map(|i| {
-                        [
-                            BatchJob {
+                        [pipelines(i, FOLD), sweep(i, FOLD)].map(|batch| {
+                            ShardedBatchJob::local(BatchJob {
                                 pid: children[i],
-                                batch: pipelines(i, FOLD),
-                            },
-                            BatchJob {
-                                pid: children[i],
-                                batch: sweep(i, FOLD),
-                            },
-                        ]
+                                batch,
+                            })
+                        })
                     })
                 })
                 .collect();
-            for out in pool.run(&shared, jobs) {
+            for out in pool.run_sharded(shared.shards(), jobs) {
                 let out = out.expect("pool job");
                 let slots = completions_to_slots(out.len(), out);
                 assert!(slots.iter().all(|r| r.is_ok()));
@@ -1015,9 +842,7 @@ fn bench_sched() {
     preport("pool, 1 worker:", &pool1);
     preport("pool, 2 workers:", &pool2);
     preport("pool, 4 workers:", &pool4);
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = shill_bench::cores();
     let (best_workers, best_pool) = [(1usize, &pool1), (2, &pool2), (4, &pool4)]
         .into_iter()
         .min_by(|a, b| a.1.ns_per_op.total_cmp(&b.1.ns_per_op))
@@ -1030,64 +855,62 @@ fn bench_sched() {
          per-wave lock — extra workers beyond the core count only add \
          context switching)"
     );
-    if let Ok(path) = std::env::var("SHILL_BENCH_SCHED_JSON") {
-        let json = format!(
-            concat!(
-                "{{\n",
-                "  \"fused_copy\": {{\n",
-                "    \"workload\": \"{files} x {size}B files copied, {cr} rounds\",\n",
-                "    \"fused\": {{\"ns_per_file\": {:.1}, \"batches\": {}, \"slot_links\": {}}},\n",
-                "    \"two_submission\": {{\"ns_per_file\": {:.1}, \"batches\": {}}},\n",
-                "    \"speedup\": {:.3},\n",
-                "    \"submission_reduction\": {:.2}\n",
-                "  }},\n",
-                "  \"batch_pool\": {{\n",
-                "    \"workload\": \"{s} sessions x {r} rounds of 8 open/read/close + 8-entry stat sweep (the BENCH_concurrency shape), scheduled as fused chains through BatchPool\",\n",
-                "    \"cores\": {cores},\n",
-                "    \"single_thread_per_call\": {{\"ns_per_op\": {:.1}, \"ops\": {}}},\n",
-                "    \"single_thread_scheduled\": {{\"ns_per_op\": {:.1}}},\n",
-                "    \"workers_1\": {{\"ns_per_op\": {:.1}}},\n",
-                "    \"workers_2\": {{\"ns_per_op\": {:.1}}},\n",
-                "    \"workers_4\": {{\"ns_per_op\": {:.1}}},\n",
-                "    \"best_workers\": {best_workers},\n",
-                "    \"pool_over_single_thread_throughput\": {:.3}\n",
-                "  }}\n",
-                "}}\n"
-            ),
-            fused.ns_per_op,
-            fused.batches,
-            fused.slot_links,
-            two.ns_per_op,
-            two.batches,
-            two.ns_per_op / fused.ns_per_op.max(1e-9),
-            two.batches as f64 / fused.batches.max(1) as f64,
-            single.ns_per_op,
-            single.ops,
-            sched_single.ns_per_op,
-            pool1.ns_per_op,
-            pool2.ns_per_op,
-            pool4.ns_per_op,
-            speedup,
-            files = files,
-            size = size,
-            cr = copy_rounds,
-            s = sessions,
-            r = rounds,
-            cores = cores,
-            best_workers = best_workers,
-        );
-        std::fs::write(&path, json).expect("write sched baseline");
-        println!("   baseline written to {path}");
-    }
+    let ns = |r: &ConcurrencyRun| Record::new().float("ns_per_op", r.ns_per_op);
+    Record::new()
+        .rec(
+            "fused_copy",
+            Record::new()
+                .str(
+                    "workload",
+                    format!("{files} x {size}B files copied, {copy_rounds} rounds"),
+                )
+                .rec(
+                    "fused",
+                    Record::new()
+                        .float("ns_per_file", fused.ns_per_op)
+                        .int("batches", fused.batches)
+                        .int("slot_links", fused.slot_links),
+                )
+                .rec(
+                    "two_submission",
+                    Record::new()
+                        .float("ns_per_file", two.ns_per_op)
+                        .int("batches", two.batches),
+                )
+                .float("speedup", two.ns_per_op / fused.ns_per_op.max(1e-9))
+                .float(
+                    "submission_reduction",
+                    two.batches as f64 / fused.batches.max(1) as f64,
+                ),
+        )
+        .rec(
+            "batch_pool",
+            Record::new()
+                .str(
+                    "workload",
+                    format!(
+                        "{sessions} sessions x {rounds} rounds of 8 open/read/close + 8-entry stat sweep (the group-8 shape), scheduled as fused chains through BatchPool"
+                    ),
+                )
+                .int("cores", cores as u64)
+                .rec("single_thread_per_call", ns(&single).int("ops", single.ops))
+                .rec("single_thread_scheduled", ns(&sched_single))
+                .rec("workers_1", ns(&pool1))
+                .rec("workers_2", ns(&pool2))
+                .rec("workers_4", ns(&pool4))
+                .int("best_workers", best_workers as u64)
+                .float("pool_over_single_thread_throughput", speedup),
+        )
+        .write_baseline("sched");
 }
 
-/// Group 8 — kernel-shard ablation: the group-6 multi-session workload
-/// (8 open/read/close triples + one 8-entry stat batch per session-round)
+/// Group 8 — kernel-shard ablation: the multi-session workload (8
+/// open/read/close triples + one 8-entry stat batch per session-round)
 /// with sessions **pinned across N kernel shards** via
-/// `run_sessions_sharded`. At 1 shard this is exactly the group-6
-/// threaded shape (every wave serializes on one lock — the
-/// `BENCH_concurrency.json` ≈1.0× baseline); at N shards, sessions on
-/// different shards contend on no kernel lock at all, so throughput
+/// `run_sessions_sharded`. At 1 shard every wave serializes on one lock:
+/// the ≈1.0× single-lock baseline the retired group 6 recorded on its own.
+/// At N shards, sessions on different shards contend on no kernel lock at
+/// all, so throughput
 /// scales with cores. On a single-core box the ratio stays ≈1.0× by
 /// construction (the threads time-slice); the JSON records the core
 /// count so the baseline is interpretable.
@@ -1200,14 +1023,12 @@ fn shard_workload(sessions: usize, rounds: usize, nshards: usize) -> Concurrency
 fn bench_shard() {
     let sessions = 4;
     let rounds = 400;
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = shill_bench::cores();
     println!(
         "\n8. kernel-shard ablation ({sessions} sessions x {rounds} rounds, \
          sessions pinned across shards, {cores} core(s)):"
     );
-    // Best-of-5 per shard count (same estimator as groups 6/7).
+    // Best-of-5 per shard count (same estimator as group 7).
     let best = |nshards: usize| -> ConcurrencyRun {
         (0..5)
             .map(|_| shard_workload(sessions, rounds, nshards))
@@ -1240,33 +1061,28 @@ fn bench_shard() {
             ""
         }
     );
-    if let Ok(path) = std::env::var("SHILL_BENCH_SHARD_JSON") {
-        let json = format!(
-            concat!(
-                "{{\n",
-                "  \"workload\": \"{s} sessions x {r} rounds of 8 open/read/close + 8-entry stat batch, sessions pinned round-robin across kernel shards\",\n",
-                "  \"cores\": {cores},\n",
-                "  \"shards_1\": {{\"ns_per_op\": {:.1}, \"ops\": {}}},\n",
-                "  \"shards_2\": {{\"ns_per_op\": {:.1}}},\n",
-                "  \"shards_4\": {{\"ns_per_op\": {:.1}}},\n",
-                "  \"speedup_2_shards_over_single_lock\": {:.3},\n",
-                "  \"speedup_4_shards_over_single_lock\": {:.3},\n",
-                "  \"note\": \"shard-local sessions pay zero rendezvous; on 1 core the ratio is bounded at ~1.0 by time-slicing — the >1.3x target is a multi-core property\"\n",
-                "}}\n"
+    Record::new()
+        .str(
+            "workload",
+            format!(
+                "{sessions} sessions x {rounds} rounds of 8 open/read/close + 8-entry stat batch, sessions pinned round-robin across kernel shards"
             ),
-            s1.ns_per_op,
-            s1.ops,
-            s2.ns_per_op,
-            s4.ns_per_op,
-            speedup2,
-            speedup4,
-            s = sessions,
-            r = rounds,
-            cores = cores,
-        );
-        std::fs::write(&path, json).expect("write shard baseline");
-        println!("   baseline written to {path}");
-    }
+        )
+        .rec(
+            "shards_1",
+            Record::new()
+                .float("ns_per_op", s1.ns_per_op)
+                .int("ops", s1.ops),
+        )
+        .rec("shards_2", Record::new().float("ns_per_op", s2.ns_per_op))
+        .rec("shards_4", Record::new().float("ns_per_op", s4.ns_per_op))
+        .float("speedup_2_shards_over_single_lock", speedup2)
+        .float("speedup_4_shards_over_single_lock", speedup4)
+        .str(
+            "note",
+            "shard-local sessions pay zero rendezvous; on 1 core the ratio is bounded at ~1.0 by time-slicing — the >1.3x target is a multi-core property",
+        )
+        .write_baseline("shard");
 }
 
 /// One group-9 churn measurement: total sessions cycled and the policy's
@@ -1422,9 +1238,7 @@ fn policy_steal_phase(nshards: usize, rounds: usize) -> (u64, u64) {
 fn bench_policy() {
     let per_shard = 400;
     let files = 12;
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = shill_bench::cores();
     let stripes = ShillPolicy::new().stripe_count();
     println!(
         "\n9. striped policy-plane churn (1 churner/shard x {per_shard} sessions, \
@@ -1471,45 +1285,37 @@ fn bench_policy() {
          2 shards {steals2_pool} pool / {steals2_kernel} kernel, \
          4 shards {steals4_pool} pool / {steals4_kernel} kernel"
     );
-    if let Ok(path) = std::env::var("SHILL_BENCH_POLICY_JSON") {
-        let json = format!(
-            concat!(
-                "{{\n",
-                "  \"workload\": \"one churner thread per shard x {p} sessions, each: setup -> {f} first-touch label merges -> reclaim\",\n",
-                "  \"cores\": {cores},\n",
-                "  \"stripes\": {stripes},\n",
-                "  \"churn_1_shard\": {{\"ns_per_session\": {:.1}, \"sessions\": {}, \"stripe_contention\": {}}},\n",
-                "  \"churn_2_shards\": {{\"ns_per_session\": {:.1}, \"sessions\": {}, \"stripe_contention\": {}}},\n",
-                "  \"churn_4_shards\": {{\"ns_per_session\": {:.1}, \"sessions\": {}, \"stripe_contention\": {}}},\n",
-                "  \"churn_ratio_2_shards_over_1\": {:.3},\n",
-                "  \"churn_ratio_4_shards_over_1\": {:.3},\n",
-                "  \"steal_phase\": {{\"shards_2\": {{\"pool\": {}, \"kernel\": {}}}, \"shards_4\": {{\"pool\": {}, \"kernel\": {}}}}},\n",
-                "  \"note\": \"striped label state: churners collide only when session ids share a stripe; on 1 core the ratio reads as contention reduction, the >=1.3x target at 4 shards applies on >=4 cores\"\n",
-                "}}\n"
+    let churn = |r: &ChurnRun| {
+        Record::new()
+            .float("ns_per_session", r.ns_per_session)
+            .int("sessions", r.sessions)
+            .int("stripe_contention", r.contention)
+    };
+    let steals = |pool: u64, kernel: u64| Record::new().int("pool", pool).int("kernel", kernel);
+    Record::new()
+        .str(
+            "workload",
+            format!(
+                "one churner thread per shard x {per_shard} sessions, each: setup -> {files} first-touch label merges -> reclaim"
             ),
-            c1.ns_per_session,
-            c1.sessions,
-            c1.contention,
-            c2.ns_per_session,
-            c2.sessions,
-            c2.contention,
-            c4.ns_per_session,
-            c4.sessions,
-            c4.contention,
-            ratio2,
-            ratio4,
-            steals2_pool,
-            steals2_kernel,
-            steals4_pool,
-            steals4_kernel,
-            p = per_shard,
-            f = files,
-            cores = cores,
-            stripes = stripes,
-        );
-        std::fs::write(&path, json).expect("write policy baseline");
-        println!("   baseline written to {path}");
-    }
+        )
+        .int("stripes", stripes as u64)
+        .rec("churn_1_shard", churn(&c1))
+        .rec("churn_2_shards", churn(&c2))
+        .rec("churn_4_shards", churn(&c4))
+        .float("churn_ratio_2_shards_over_1", ratio2)
+        .float("churn_ratio_4_shards_over_1", ratio4)
+        .rec(
+            "steal_phase",
+            Record::new()
+                .rec("shards_2", steals(steals2_pool, steals2_kernel))
+                .rec("shards_4", steals(steals4_pool, steals4_kernel)),
+        )
+        .str(
+            "note",
+            "striped label state: churners collide only when session ids share a stripe; on 1 core the ratio reads as contention reduction, the >=1.3x target at 4 shards applies on >=4 cores",
+        )
+        .write_baseline("policy");
 }
 
 /// The group-10 script pair: the async pipeline and its sequential twin,
@@ -1613,30 +1419,26 @@ fn bench_lang() {
         fused_batches < seq_batches,
         "the fused script must submit fewer batches than its twin"
     );
-    if let Ok(path) = std::env::var("SHILL_BENCH_LANG_JSON") {
-        let json = format!(
-            concat!(
-                "{{\n",
-                "  \"workload\": \"script pipeline per round: copy 16KiB (slot-linked) + 2 reads + 6-file stat sweep; async form forced by one await_all vs eager sequential twin\",\n",
-                "  \"rounds\": {rounds},\n",
-                "  \"fused\": {{\"ns_per_round\": {:.1}, \"submissions_per_round\": {:.2}}},\n",
-                "  \"sequential\": {{\"ns_per_round\": {:.1}, \"submissions_per_round\": {:.2}}},\n",
-                "  \"submission_ratio_sequential_over_fused\": {:.3},\n",
-                "  \"time_ratio_sequential_over_fused\": {:.3},\n",
-                "  \"note\": \"submissions/round is the structural claim (one submission vs one private batch per op); ns/round varies with the box\"\n",
-                "}}\n"
-            ),
-            fused_ns,
-            fused_batches,
-            seq_ns,
-            seq_batches,
-            sub_ratio,
-            time_ratio,
-            rounds = rounds,
-        );
-        std::fs::write(&path, json).expect("write lang baseline");
-        println!("   baseline written to {path}");
-    }
+    let mode = |ns: f64, batches: f64| {
+        Record::new()
+            .float("ns_per_round", ns)
+            .float("submissions_per_round", batches)
+    };
+    Record::new()
+        .str(
+            "workload",
+            "script pipeline per round: copy 16KiB (slot-linked) + 2 reads + 6-file stat sweep; async form forced by one await_all vs eager sequential twin",
+        )
+        .int("rounds", rounds as u64)
+        .rec("fused", mode(fused_ns, fused_batches))
+        .rec("sequential", mode(seq_ns, seq_batches))
+        .float("submission_ratio_sequential_over_fused", sub_ratio)
+        .float("time_ratio_sequential_over_fused", time_ratio)
+        .str(
+            "note",
+            "submissions/round is the structural claim (one submission vs one private batch per op); ns/round varies with the box",
+        )
+        .write_baseline("lang");
 }
 
 /// One group-11 measurement.
@@ -1651,12 +1453,7 @@ struct ObsRun {
 /// individually and the ring is drained between them, so the measurement
 /// is the steady-state push cost, never the ring-full fast path.
 fn obs_stat_run(traced: bool, rounds: usize, width: usize) -> ObsRun {
-    let depth = 9;
-    let mut p = String::from("/deep");
-    for i in 0..depth {
-        p.push_str(&format!("/d{i}"));
-    }
-    let file = format!("{p}/leaf.bin");
+    let file = deep_file(9);
     let (mut k, pid) = batch_fixture(|k| {
         k.fs.put_file(&file, b"z", Mode(0o644), Uid::ROOT, Gid::WHEEL)
             .unwrap();
@@ -1728,28 +1525,27 @@ fn bench_obs() {
         on.ns_per_op, on.trace_events, on.trace_dropped
     );
     println!("   overhead (on/off): {overhead:.3}×");
-    if let Ok(path) = std::env::var("SHILL_BENCH_OBS_JSON") {
-        let json = format!(
-            concat!(
-                "{{\n",
-                "  \"workload\": \"fstatat at depth 9, {r} rounds x {w}-entry batches via submit_batch (the group-5 deep-stat shape), ring drained between rounds\",\n",
-                "  \"off\": {{\"ns_per_op\": {:.1}}},\n",
-                "  \"on\": {{\"ns_per_op\": {:.1}, \"trace_events\": {}, \"trace_dropped\": {}}},\n",
-                "  \"overhead_on_over_off\": {:.3},\n",
-                "  \"note\": \"off is the shipped default (no plane installed: one relaxed load per site); the CI gate holds on/off at 1.10x measured in the same process\"\n",
-                "}}\n"
+    Record::new()
+        .str(
+            "workload",
+            format!(
+                "fstatat at depth 9, {rounds} rounds x {width}-entry batches via submit_batch (the group-5 deep-stat shape), ring drained between rounds"
             ),
-            off.ns_per_op,
-            on.ns_per_op,
-            on.trace_events,
-            on.trace_dropped,
-            overhead,
-            r = rounds,
-            w = width,
-        );
-        std::fs::write(&path, json).expect("write obs baseline");
-        println!("   baseline written to {path}");
-    }
+        )
+        .rec("off", Record::new().float("ns_per_op", off.ns_per_op))
+        .rec(
+            "on",
+            Record::new()
+                .float("ns_per_op", on.ns_per_op)
+                .int("trace_events", on.trace_events)
+                .int("trace_dropped", on.trace_dropped),
+        )
+        .float("overhead_on_over_off", overhead)
+        .str(
+            "note",
+            "off is the shipped default (no plane installed: one relaxed load per site); the CI gate holds on/off at 1.10x measured in the same process",
+        )
+        .write_baseline("obs");
 }
 
 /// Group 12 — server front-end load generation. Open `sessions`
@@ -1765,15 +1561,12 @@ fn bench_server() {
         Client, Server, ServerConfig, ServerCore, StaticTokens, TenantQuota, TenantSpec,
     };
 
-    let envnum = |name: &str, default: usize| {
-        std::env::var(name)
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(default)
-    };
-    let sessions = envnum("SHILL_BENCH_SERVER_SESSIONS", 1000);
-    let rounds = envnum("SHILL_BENCH_SERVER_ROUNDS", 3);
-    let drivers = envnum("SHILL_BENCH_SERVER_DRIVERS", 16).max(1);
+    let sessions: usize = std::env::var("SHILL_BENCH_SERVER_SESSIONS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(1000);
+    // Timed sweeps per session, and loopback client threads.
+    let (rounds, drivers) = (3, 16);
     const TENANTS: usize = 8;
     println!("\n12. server front-end ({sessions} concurrent sessions, {rounds} rounds, {drivers} drivers):");
 
@@ -1854,9 +1647,6 @@ fn bench_server() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     let wall = t0.elapsed().as_secs_f64();
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
 
     let mut all: Vec<u64> = samples.into_iter().flatten().collect();
     all.sort_unstable();
@@ -1887,38 +1677,26 @@ fn bench_server() {
         .sum();
     assert_eq!(open_now, 0, "sessions must all close after the storm");
 
-    if let Ok(path) = std::env::var("SHILL_BENCH_SERVER_JSON") {
-        let json = format!(
-            concat!(
-                "{{\n",
-                "  \"workload\": \"{s} concurrent authenticated TCP sessions across {t} tenants, {r} read frames each through the framed protocol onto a 4-shard kernel + 4-worker batch pool; latency is per-request end-to-end (client write to client read), quantiles exact-sorted\",\n",
-                "  \"sessions\": {s},\n",
-                "  \"drivers\": {d},\n",
-                "  \"cores\": {cores},\n",
-                "  \"requests\": {n},\n",
-                "  \"open_seconds\": {:.2},\n",
-                "  \"throughput_rps\": {:.0},\n",
-                "  \"p50_ns\": {},\n",
-                "  \"p99_ns\": {},\n",
-                "  \"mean_ns\": {:.0},\n",
-                "  \"note\": \"server on loopback with blocking accept and reused handler threads (one per live connection); with fewer cores than driver threads the quantiles measure the multiplexing queue, not the kernel crossing\"\n",
-                "}}\n"
+    Record::new()
+        .str(
+            "workload",
+            format!(
+                "{sessions} concurrent authenticated TCP sessions across {TENANTS} tenants, {rounds} read frames each through the framed protocol onto a 4-shard kernel + 4-worker batch pool; latency is per-request end-to-end (client write to client read), quantiles exact-sorted"
             ),
-            open_s,
-            rps,
-            p50,
-            p99,
-            mean,
-            s = sessions,
-            t = TENANTS,
-            r = rounds,
-            d = drivers,
-            n = total,
-            cores = cores,
-        );
-        std::fs::write(&path, json).expect("write server baseline");
-        println!("   baseline written to {path}");
-    }
+        )
+        .int("sessions", sessions as u64)
+        .int("drivers", drivers as u64)
+        .int("requests", total as u64)
+        .float("open_seconds", open_s)
+        .float("throughput_rps", rps)
+        .int("p50_ns", p50)
+        .int("p99_ns", p99)
+        .float("mean_ns", mean)
+        .str(
+            "note",
+            "server on loopback with blocking accept and reused handler threads (one per live connection); with fewer cores than driver threads the quantiles measure the multiplexing queue, not the kernel crossing",
+        )
+        .write_baseline("server");
 }
 
 fn main() {
@@ -1945,9 +1723,6 @@ fn main() {
     if want("batch") {
         bench_batch_ablation();
     }
-    if want("concurrency") {
-        bench_concurrency();
-    }
     if want("sched") {
         bench_sched();
     }
@@ -1966,5 +1741,4 @@ fn main() {
     if want("server") {
         bench_server();
     }
-    let _ = Arc::new(());
 }

@@ -155,7 +155,7 @@ impl ShillRuntime {
     /// the entry point for the concurrent phase of a workload: scripts that
     /// prepared state single-threaded hand the kernel to
     /// `shill_sandbox::SharedKernel` and a fleet of session worker threads
-    /// (`shill_sandbox::run_sessions`) from here.
+    /// (`shill_sandbox::run_sessions_sharded`) from here.
     pub fn into_parts(self) -> (Kernel, Option<Arc<ShillPolicy>>) {
         (self.interp.kernel, self.policy)
     }

@@ -140,45 +140,19 @@ pub struct ShardedSessionTask {
 }
 
 /// Run every task as its own sandboxed session on its own worker thread,
-/// against one shared kernel and one policy module. Each task gets a fresh
-/// (unsandboxed) parent process with `parent_cred`; the returned outcomes
+/// against one policy module. Each task's whole lifecycle (a fresh
+/// unsandboxed parent with `parent_cred`, sandbox setup, body, teardown)
+/// runs against its pinned shard, so tasks on different shards contend on
+/// **no** kernel lock; bodies receive a [`SharedKernel`] pinned to their
+/// shard (for one [`SharedKernel::new`] kernel, pass its
+/// [`SharedKernel::shards`] and pin every task to shard 0). The outcomes
 /// are in task order. The submission-level `Err` is reserved for setup
 /// failures (a body that fails is just a nonzero status).
-pub fn run_sessions(
-    shared: &SharedKernel,
-    policy: &Arc<ShillPolicy>,
-    parent_cred: Cred,
-    tasks: Vec<SessionTask>,
-) -> SysResult<Vec<SessionOutcome>> {
-    let pinned = tasks
-        .into_iter()
-        .map(|task| (shared.shard_index(), task))
-        .collect();
-    run_pinned(shared.shards(), policy, parent_cred, pinned)
-}
-
-/// [`run_sessions`] across kernel shards: each task's whole lifecycle
-/// (parent spawn, sandbox setup, body, teardown) runs against its pinned
-/// shard, so tasks on different shards contend on **no** kernel lock.
-/// Bodies receive a [`SharedKernel`] pinned to their shard.
 pub fn run_sessions_sharded(
     shards: &KernelShards,
     policy: &Arc<ShillPolicy>,
     parent_cred: Cred,
     tasks: Vec<ShardedSessionTask>,
-) -> SysResult<Vec<SessionOutcome>> {
-    let pinned = tasks
-        .into_iter()
-        .map(|t| (t.shard % shards.count(), t.task))
-        .collect();
-    run_pinned(shards, policy, parent_cred, pinned)
-}
-
-fn run_pinned(
-    shards: &KernelShards,
-    policy: &Arc<ShillPolicy>,
-    parent_cred: Cred,
-    tasks: Vec<(usize, SessionTask)>,
 ) -> SysResult<Vec<SessionOutcome>> {
     let n = tasks.len();
     if n == 0 {
@@ -188,7 +162,7 @@ fn run_pinned(
     let results: Vec<SysResult<SessionOutcome>> = thread::scope(|scope| {
         let handles: Vec<_> = tasks
             .into_iter()
-            .map(|(shard, task)| {
+            .map(|ShardedSessionTask { shard, task }| {
                 let shared = SharedKernel::pinned(shards.clone(), shard);
                 let policy = Arc::clone(policy);
                 let entered = Arc::clone(&entered);
@@ -226,7 +200,7 @@ fn run_pinned(
                     // Teardown under one lock hold: exit + reap the child
                     // (reclaiming the session: label scrub, epoch bump),
                     // then retire the throwaway parent so repeated
-                    // run_sessions calls don't grow the process table.
+                    // launches don't grow the process table.
                     let reaped = {
                         let mut k = shared.lock();
                         k.exit(sb.child, status);
@@ -341,13 +315,14 @@ struct WorkerArena {
 /// A **persistent** worker pool executing scheduled batches from
 /// (typically) different sessions against a sharded kernel. Workers are
 /// spawned once at construction, fed through a channel, and joined
-/// (after draining the queue) on drop — `BatchPool::run` no longer pays a
-/// per-call `thread::scope` spawn, the cost the PR 4 ablation flagged.
+/// (after draining the queue) on drop — a run no longer pays a per-call
+/// `thread::scope` spawn, the cost the group-7 ablation flagged.
 ///
-/// Where `run_sessions` bodies hold their shard's lock for every crossing
-/// of one session, the pool's workers acquire locks **per dependency
-/// wave**: DAG validation ([`ScheduledRun::prepare`]), completion-queue
-/// assembly, and payload handling all happen outside any kernel lock.
+/// Where [`run_sessions_sharded`] bodies hold their shard's lock for every
+/// crossing of one session, the pool's workers acquire locks **per
+/// dependency wave**: DAG validation ([`ScheduledRun::prepare`]),
+/// completion-queue assembly, and payload handling all happen outside any
+/// kernel lock.
 /// Wave classification is the sharding dispatch layer:
 ///
 /// * a **shard-local** job's waves route straight to the pinned shard's
@@ -367,10 +342,10 @@ pub struct BatchPool {
 impl BatchPool {
     /// Spawn a pool of `workers` persistent threads (at least one). Each
     /// worker owns a deque; threads idle on the pool condvar until
-    /// [`BatchPool::run`] / [`BatchPool::run_sharded`] feed them, and exit
-    /// when the pool drops. A worker drains its **own** deque first and
-    /// steals from siblings only when it runs dry, so shard affinity holds
-    /// exactly as long as the affine worker keeps up.
+    /// [`BatchPool::run_sharded`] feeds them, and exit when the pool drops.
+    /// A worker drains its **own** deque first and steals from siblings
+    /// only when it runs dry, so shard affinity holds exactly as long as
+    /// the affine worker keeps up.
     pub fn new(workers: usize) -> BatchPool {
         let n = workers.max(1);
         let shared = Arc::new(PoolShared {
@@ -491,27 +466,15 @@ impl BatchPool {
             .load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Execute every job as shard-local work routed by pid, returning
-    /// completion queues in job order. A job's `Err` is its
-    /// submission-level failure (malformed DAG, dead process); per-entry
-    /// failures live in its completions.
-    pub fn run(
-        &self,
-        shared: &SharedKernel,
-        jobs: Vec<BatchJob>,
-    ) -> Vec<SysResult<Vec<Completion>>> {
-        self.run_sharded(
-            shared.shards(),
-            jobs.into_iter().map(ShardedBatchJob::local).collect(),
-        )
-    }
-
     /// Execute classified jobs against a shard set. Shard-local jobs of
     /// different shards overlap wave-for-wave; cross-shard jobs rendezvous.
-    /// Results come back in job order. The pool may be reused across calls
-    /// and across different shard sets — workers hold a shard-set handle
-    /// only while executing a job of it (the reuse regression test pins
-    /// this down: a drained pool holds no kernel, session, or batch state).
+    /// Results come back in job order: a job's `Err` is its
+    /// submission-level failure (malformed DAG, dead process); per-entry
+    /// failures live in its completions. The pool may be reused across
+    /// calls and across different shard sets — workers hold a shard-set
+    /// handle only while executing a job of it (the reuse regression test
+    /// pins this down: a drained pool holds no kernel, session, or batch
+    /// state).
     ///
     /// Routing: on a multi-shard set, a job goes to the deque of worker
     /// `shard_of(pid) % workers` — jobs of one shard queue behind each
@@ -662,7 +625,7 @@ mod tests {
         let shared = SharedKernel::new(kernel);
 
         let leaf = caps(&[Priv::Read, Priv::Stat, Priv::Path]);
-        let tasks: Vec<SessionTask> = (0..4usize)
+        let tasks: Vec<ShardedSessionTask> = (0..4usize)
             .map(|i| {
                 let spec = SandboxSpec {
                     grants: vec![
@@ -713,11 +676,15 @@ mod tests {
                     }
                     0
                 });
-                SessionTask { spec, body }
+                ShardedSessionTask {
+                    shard: 0,
+                    task: SessionTask { spec, body },
+                }
             })
             .collect();
 
-        let outcomes = run_sessions(&shared, &policy, Cred::user(100), tasks).unwrap();
+        let outcomes =
+            run_sessions_sharded(shared.shards(), &policy, Cred::user(100), tasks).unwrap();
         assert_eq!(outcomes.len(), 4);
         for o in &outcomes {
             assert_eq!(o.status, 0, "session {:?} failed", o.session);
@@ -752,7 +719,11 @@ mod tests {
         ];
         // The failure must surface as an error — a worker bailing before
         // the start barrier used to wedge its siblings forever.
-        let r = run_sessions(&shared, &policy, Cred::user(100), tasks);
+        let tasks = tasks
+            .into_iter()
+            .map(|task| ShardedSessionTask { shard: 0, task })
+            .collect();
+        let r = run_sessions_sharded(shared.shards(), &policy, Cred::user(100), tasks);
         assert_eq!(r.unwrap_err(), Errno::EBADF);
         // Both the failed launch and the successful session retired every
         // process they created (parents included), and the half-built
@@ -860,7 +831,8 @@ mod tests {
             });
         }
 
-        let results = BatchPool::new(4).run(&shared, jobs);
+        let jobs = jobs.into_iter().map(ShardedBatchJob::local).collect();
+        let results = BatchPool::new(4).run_sharded(shared.shards(), jobs);
         assert_eq!(results.len(), 8);
         for (i, r) in results[..4].iter().enumerate() {
             let slots = completions_to_slots(4, r.clone().unwrap());
@@ -1407,16 +1379,19 @@ mod tests {
         let before = shared.with(|k| k.process_count());
         for _ in 0..5 {
             let tasks = (0..3)
-                .map(|_| SessionTask {
-                    spec: SandboxSpec::default(),
-                    body: Arc::new(|_sk: &SharedKernel, _pid, _sid| 0) as SessionBody,
+                .map(|_| ShardedSessionTask {
+                    shard: 0,
+                    task: SessionTask {
+                        spec: SandboxSpec::default(),
+                        body: Arc::new(|_sk: &SharedKernel, _pid, _sid| 0) as SessionBody,
+                    },
                 })
                 .collect();
-            run_sessions(&shared, &policy, Cred::user(100), tasks).unwrap();
+            run_sessions_sharded(shared.shards(), &policy, Cred::user(100), tasks).unwrap();
             assert_eq!(
                 shared.with(|k| k.process_count()),
                 before,
-                "run_sessions must retire parents and children alike"
+                "run_sessions_sharded must retire parents and children alike"
             );
         }
     }

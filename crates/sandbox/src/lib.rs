@@ -21,15 +21,12 @@ pub mod session;
 pub mod sync;
 
 pub use executor::{
-    run_sessions, run_sessions_sharded, BatchJob, BatchPool, SessionBody, SessionOutcome,
-    SessionTask, ShardedBatchJob, ShardedSessionTask, SharedKernel,
+    run_sessions_sharded, BatchJob, BatchPool, SessionBody, SessionOutcome, SessionTask,
+    ShardedBatchJob, ShardedSessionTask, SharedKernel,
 };
 pub use harness::{run_sandboxed, setup_sandbox, Grant, Sandbox, SandboxSpec};
 pub use log::{BatchWaveAudit, LogEvent, SandboxLog, DEFAULT_LOG_CAP, SHILL_LOG_CAP_ENV};
-pub use policy::{
-    stripe_count_from_env, PolicyStats, ShillPolicy, DEFAULT_POLICY_STRIPES, MAX_POLICY_STRIPES,
-    POLICY_STRIPES_ENV,
-};
+pub use policy::{PolicyStats, ShillPolicy, DEFAULT_POLICY_STRIPES, MAX_POLICY_STRIPES};
 pub use policyfile::{build_spec, parse_policy, ParseError, Rule};
 pub use session::{Session, SessionId};
 pub use shill_kernel::KernelShards;

@@ -18,8 +18,8 @@ use shill_kernel::{
     shard_count_from_env, BatchEntry, Kernel, KernelShards, OpenFlags, Pid, SyscallBatch,
 };
 use shill_sandbox::{
-    run_sessions, setup_sandbox, Grant, SandboxSpec, SessionBody, SessionTask, SharedKernel,
-    ShillPolicy,
+    run_sessions_sharded, setup_sandbox, Grant, SandboxSpec, SessionBody, SessionTask,
+    ShardedSessionTask, SharedKernel, ShillPolicy,
 };
 use shill_vfs::{Cred, Errno, Gid, Mode, Uid};
 
@@ -214,7 +214,12 @@ fn revocation_is_never_outrun_by_cached_verdicts() {
         })
     };
 
-    let outcomes = run_sessions(&shared, &policy, Cred::user(100), tasks).expect("sessions");
+    let tasks = tasks
+        .into_iter()
+        .map(|task| ShardedSessionTask { shard: 0, task })
+        .collect();
+    let outcomes =
+        run_sessions_sharded(shared.shards(), &policy, Cred::user(100), tasks).expect("sessions");
     mutator.join().unwrap();
     assert_eq!(
         failures.load(Ordering::SeqCst),
@@ -275,6 +280,9 @@ fn session_churn_does_not_disturb_unrelated_sessions() {
     let shared = SharedKernel::new(kernel);
 
     let stop = Arc::new(AtomicBool::new(false));
+    // The readers start only once the churner has cycled a session: fast
+    // readers could otherwise finish before it ever ran.
+    let (first_cycle_tx, first_cycle_rx) = std::sync::mpsc::channel();
     let churner = {
         let shared = shared.clone();
         let policy = Arc::clone(&policy);
@@ -303,6 +311,9 @@ fn session_churn_does_not_disturb_unrelated_sessions() {
                     let _ = k.waitpid(churn_parent, sb.child);
                 });
                 churned += 1;
+                if churned == 1 {
+                    first_cycle_tx.send(()).unwrap();
+                }
                 thread::yield_now();
             }
             churned
@@ -342,7 +353,13 @@ fn session_churn_does_not_disturb_unrelated_sessions() {
         })
         .collect();
 
-    let outcomes = run_sessions(&shared, &policy, Cred::user(100), tasks).expect("sessions");
+    first_cycle_rx.recv().expect("churner cycled a session");
+    let tasks = tasks
+        .into_iter()
+        .map(|task| ShardedSessionTask { shard: 0, task })
+        .collect();
+    let outcomes =
+        run_sessions_sharded(shared.shards(), &policy, Cred::user(100), tasks).expect("sessions");
     stop.store(true, Ordering::SeqCst);
     let churned = churner.join().unwrap();
     for o in &outcomes {

@@ -297,9 +297,9 @@ fn run_threaded_vs_sequential(cached: bool) {
     let results: Arc<Mutex<Vec<Vec<String>>>> = Arc::new(Mutex::new(vec![Vec::new(); SESSIONS]));
 
     // Drive the pre-built sandboxes directly on worker threads (the
-    // run_sessions executor, which creates its own sandboxes, is exercised
-    // by the sandbox crate's tests; here both kernels' sandboxes were built
-    // identically up front so the twins match exactly).
+    // run_sessions_sharded executor, which creates its own sandboxes, is
+    // exercised by the sandbox crate's tests; here both kernels' sandboxes
+    // were built identically up front so the twins match exactly).
     std::thread::scope(|scope| {
         for (i, fx) in fixtures_a.iter().enumerate() {
             let shared = shared.clone();
@@ -486,7 +486,8 @@ fn batch_pool_matches_sequential_replay() {
                     ]
                 })
                 .collect();
-            let outs = pool.run(&shared, jobs);
+            let jobs = jobs.into_iter().map(ShardedBatchJob::local).collect();
+            let outs = pool.run_sharded(shared.shards(), jobs);
             for (j, out) in outs.into_iter().enumerate() {
                 let session = j / 2;
                 let n = if j % 2 == 0 { 4 } else { 1 };
@@ -550,7 +551,8 @@ fn batch_pool_random_flat_batches_match_sequential_replay() {
                 batch: batches[round].clone(),
             })
             .collect();
-        let outs = pool.run(&shared, jobs);
+        let jobs = jobs.into_iter().map(ShardedBatchJob::local).collect();
+        let outs = pool.run_sharded(shared.shards(), jobs);
         for (i, out) in outs.into_iter().enumerate() {
             let n = all_batches[i][round].entries.len();
             let slots = completions_to_slots(n, out.expect("pool job"));
